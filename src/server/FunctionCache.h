@@ -37,9 +37,9 @@
 namespace igen {
 namespace server {
 
-/// FNV-1a over the source and every semantically meaningful transform
-/// option. Two requests collide only if they would compile to the very
-/// same program.
+/// A 64-bit content hash (MurmurHash64A-style word mixing) over the
+/// source and every semantically meaningful transform option. Two
+/// requests collide only if they would compile to the very same program.
 uint64_t hashCompileRequest(std::string_view Source,
                             const TransformOptions &Opts);
 

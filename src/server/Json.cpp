@@ -6,7 +6,9 @@
 
 #include "server/Json.h"
 
-#include <cerrno>
+#include "interval/Rounding.h"
+
+#include <charconv>
 #include <cstdlib>
 #include <cstdio>
 #include <cstring>
@@ -14,14 +16,23 @@
 using namespace igen;
 using namespace igen::server;
 
-namespace {
+namespace igen {
+namespace server {
+namespace detail {
 
-class Parser {
+/// Recursive-descent parser. Every value is parsed straight into its
+/// final place in the parent container.
+class JsonParser {
 public:
-  Parser(std::string_view Text, const JsonLimits &Limits)
+  JsonParser(std::string_view Text, const JsonLimits &Limits)
       : Text(Text), Limits(Limits) {}
 
   JsonParseResult run() {
+    // Decimal-to-double conversion honours the thread's rounding mode
+    // (strtod, and from_chars for some inputs), so pin round-to-nearest:
+    // the same text must give the same double on every thread. Free when
+    // the thread's mode is already known to be nearest.
+    RoundNearestScope Nearest;
     JsonParseResult R;
     skipWs();
     JsonValue V;
@@ -94,27 +105,17 @@ private:
     char C = peek();
     switch (C) {
     case 'n':
-      if (!literal("null"))
-        return false;
-      Out = JsonValue();
-      return true;
+      return literal("null");
     case 't':
-      if (!literal("true"))
-        return false;
-      Out = JsonValue(true);
-      return true;
+      Out.K = JsonValue::Kind::Bool;
+      Out.BoolV = true;
+      return literal("true");
     case 'f':
-      if (!literal("false"))
-        return false;
-      Out = JsonValue(false);
-      return true;
-    case '"': {
-      std::string S;
-      if (!parseString(S))
-        return false;
-      Out = JsonValue(std::move(S));
-      return true;
-    }
+      Out.K = JsonValue::Kind::Bool;
+      return literal("false");
+    case '"':
+      Out.K = JsonValue::Kind::String;
+      return parseString(Out.StrV);
     case '[':
       return parseArray(Out, Depth);
     case '{':
@@ -154,15 +155,22 @@ private:
       while (!atEnd() && peek() >= '0' && peek() <= '9')
         ++Pos;
     }
-    std::string Raw(Text.substr(Start, Pos - Start));
-    errno = 0;
-    char *End = nullptr;
-    double V = std::strtod(Raw.c_str(), &End);
-    if (End != Raw.c_str() + Raw.size())
+    const char *First = Text.data() + Start, *Last = Text.data() + Pos;
+    double V = 0.0;
+    std::from_chars_result R = std::from_chars(First, Last, V);
+    if (R.ec == std::errc::result_out_of_range) {
+      // from_chars leaves V untouched out of range; strtod gives the
+      // conventional +-inf on overflow and 0 or a subnormal on underflow.
+      // Overflow to +-inf is accepted; the raw spelling is preserved so
+      // callers that care can reject or re-round it themselves.
+      std::string Raw(First, Last);
+      V = std::strtod(Raw.c_str(), nullptr);
+    } else if (R.ec != std::errc() || R.ptr != Last) {
       return fail("invalid number");
-    // Overflow to +-inf is accepted; the raw spelling is preserved so
-    // callers that care can reject or re-round it themselves.
-    Out = JsonValue(V, std::move(Raw));
+    }
+    Out.K = JsonValue::Kind::Number;
+    Out.NumV = V;
+    Out.StrV.assign(First, Last);
     return true;
   }
 
@@ -214,6 +222,10 @@ private:
     }
   }
 
+  static bool plainStringByte(char C) {
+    return C != '"' && C != '\\' && (unsigned char)C >= 0x20;
+  }
+
   bool parseString(std::string &Out) {
     ++Pos; // opening quote
     Out.clear();
@@ -230,8 +242,15 @@ private:
       if (C < 0x20)
         return fail("unescaped control character in string");
       if (C != '\\') {
-        Out.push_back(char(C));
-        ++Pos;
+        // Copy the whole run of plain characters at once. The run stops
+        // one byte past the length limit, so the check above still fires
+        // at the same offset as a byte-at-a-time copy would.
+        size_t End = Pos + 1;
+        size_t Cap = Pos + (Limits.MaxStringBytes + 1 - Out.size());
+        while (End < Text.size() && End < Cap && plainStringByte(Text[End]))
+          ++End;
+        Out.append(Text.data() + Pos, End - Pos);
+        Pos = End;
         continue;
       }
       ++Pos;
@@ -277,19 +296,19 @@ private:
 
   bool parseArray(JsonValue &Out, size_t Depth) {
     ++Pos; // '['
-    JsonArray A;
+    Out.K = JsonValue::Kind::Array;
     skipWs();
     if (!atEnd() && peek() == ']') {
       ++Pos;
-      Out = JsonValue(std::move(A));
       return true;
     }
+    Out.Items.reserve(8); // skips the smallest regrowth steps
     while (true) {
       skipWs();
-      JsonValue V;
-      if (!parseValue(V, Depth + 1))
+      // Out stays put while its children are parsed (only Out's own loop
+      // appends to Out.Items), so the slot reference is stable.
+      if (!parseValue(Out.Items.emplace_back(), Depth + 1))
         return false;
-      A.push_back(std::move(V));
       skipWs();
       if (atEnd())
         return fail("unterminated array");
@@ -300,7 +319,6 @@ private:
       }
       if (C == ']') {
         ++Pos;
-        Out = JsonValue(std::move(A));
         return true;
       }
       return fail("expected ',' or ']'");
@@ -309,29 +327,27 @@ private:
 
   bool parseObject(JsonValue &Out, size_t Depth) {
     ++Pos; // '{'
-    JsonObject O;
+    Out.K = JsonValue::Kind::Object;
     skipWs();
     if (!atEnd() && peek() == '}') {
       ++Pos;
-      Out = JsonValue(std::move(O));
       return true;
     }
+    Out.Members.reserve(2); // interval arguments have one or two members
     while (true) {
       skipWs();
       if (atEnd() || peek() != '"')
         return fail("expected object key");
-      std::string Key;
-      if (!parseString(Key))
+      JsonMember &M = Out.Members.emplace_back();
+      if (!parseString(M.Key))
         return false;
       skipWs();
       if (atEnd() || peek() != ':')
         return fail("expected ':'");
       ++Pos;
       skipWs();
-      JsonValue V;
-      if (!parseValue(V, Depth + 1))
+      if (!parseValue(M.Value, Depth + 1))
         return false;
-      O[std::move(Key)] = std::move(V); // last duplicate key wins
       skipWs();
       if (atEnd())
         return fail("unterminated object");
@@ -342,7 +358,6 @@ private:
       }
       if (C == '}') {
         ++Pos;
-        Out = JsonValue(std::move(O));
         return true;
       }
       return fail("expected ',' or '}'");
@@ -350,11 +365,13 @@ private:
   }
 };
 
-} // namespace
+} // namespace detail
+} // namespace server
+} // namespace igen
 
 JsonParseResult igen::server::parseJson(std::string_view Text,
                                         const JsonLimits &Limits) {
-  return Parser(Text, Limits).run();
+  return detail::JsonParser(Text, Limits).run();
 }
 
 std::string igen::server::jsonEscape(std::string_view S) {

@@ -20,8 +20,6 @@
 #define IGEN_SERVER_JSON_H
 
 #include <cstddef>
-#include <map>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -30,14 +28,20 @@ namespace igen {
 namespace server {
 
 class JsonValue;
+struct JsonMember;
 using JsonArray = std::vector<JsonValue>;
-/// std::map keeps member iteration deterministic, which the tests rely
-/// on when comparing rendered errors.
-using JsonObject = std::map<std::string, JsonValue, std::less<>>;
+
+namespace detail {
+class JsonParser;
+} // namespace detail
 
 /// A parsed JSON value. Numbers keep both the double value and the raw
 /// spelling: eval requests may pass interval endpoints as decimal text,
 /// and the raw spelling lets callers re-parse with directed rounding.
+///
+/// Containers own their children inline (array elements, or object
+/// members in document order) in one vector each, not in a map node or
+/// behind a shared_ptr per value.
 class JsonValue {
 public:
   enum class Kind { Null, Bool, Number, String, Array, Object };
@@ -47,10 +51,7 @@ public:
   explicit JsonValue(double D, std::string Raw = "")
       : K(Kind::Number), NumV(D), StrV(std::move(Raw)) {}
   explicit JsonValue(std::string S) : K(Kind::String), StrV(std::move(S)) {}
-  explicit JsonValue(JsonArray A)
-      : K(Kind::Array), ArrV(std::make_shared<JsonArray>(std::move(A))) {}
-  explicit JsonValue(JsonObject O)
-      : K(Kind::Object), ObjV(std::make_shared<JsonObject>(std::move(O))) {}
+  explicit JsonValue(JsonArray A) : K(Kind::Array), Items(std::move(A)) {}
 
   Kind kind() const { return K; }
   bool isNull() const { return K == Kind::Null; }
@@ -64,27 +65,35 @@ public:
   double numberValue() const { return NumV; }
   /// Raw spelling for numbers; the decoded text for strings.
   const std::string &stringValue() const { return StrV; }
-  const JsonArray &arrayValue() const { return *ArrV; }
-  const JsonObject &objectValue() const { return *ObjV; }
+  /// Array elements (empty for anything but an array).
+  const JsonArray &arrayValue() const { return Items; }
 
   /// Object member lookup; returns nullptr when absent or not an object.
-  const JsonValue *member(std::string_view Name) const {
-    if (K != Kind::Object)
-      return nullptr;
-    auto It = ObjV->find(Name);
-    return It == ObjV->end() ? nullptr : &It->second;
-  }
+  /// A key sent twice resolves to its last occurrence.
+  const JsonValue *member(std::string_view Name) const;
 
 private:
+  friend class detail::JsonParser;
+
   Kind K;
   bool BoolV = false;
   double NumV = 0.0;
   std::string StrV;
-  // shared_ptr keeps JsonValue copyable without deep copies; parsed
-  // frames are read-only after construction.
-  std::shared_ptr<JsonArray> ArrV;
-  std::shared_ptr<JsonObject> ObjV;
+  JsonArray Items;
+  std::vector<JsonMember> Members;
 };
+
+struct JsonMember {
+  std::string Key;
+  JsonValue Value;
+};
+
+inline const JsonValue *JsonValue::member(std::string_view Name) const {
+  for (size_t I = Members.size(); I-- > 0;)
+    if (Members[I].Key == Name)
+      return &Members[I].Value;
+  return nullptr;
+}
 
 /// Parse limits. The defaults comfortably fit every legitimate serve
 /// frame while bounding adversarial ones.
@@ -102,7 +111,9 @@ struct JsonParseResult {
 };
 
 /// Parses exactly one JSON document from \p Text (trailing whitespace
-/// allowed, trailing garbage is an error).
+/// allowed, trailing garbage is an error). Numbers are converted under
+/// round-to-nearest whatever the calling thread's rounding mode, so the
+/// same text always yields the same double.
 JsonParseResult parseJson(std::string_view Text,
                           const JsonLimits &Limits = JsonLimits());
 

@@ -21,22 +21,6 @@ uint64_t monotonicUs() {
       .count();
 }
 
-/// JsonWriter pretty-prints; log lines must be single lines. Newlines
-/// inside string values are escaped by the writer, so this is lossless.
-std::string oneLine(std::string Pretty) {
-  std::string Out;
-  Out.reserve(Pretty.size());
-  for (size_t I = 0; I < Pretty.size(); ++I) {
-    if (Pretty[I] == '\n') {
-      while (I + 1 < Pretty.size() && Pretty[I + 1] == ' ')
-        ++I;
-      continue;
-    }
-    Out.push_back(Pretty[I]);
-  }
-  return Out;
-}
-
 } // namespace
 
 RequestLog::RequestLog(const std::string &Path) {
@@ -62,17 +46,19 @@ RequestLog::~RequestLog() {
     std::fclose(Out);
 }
 
-void RequestLog::line(const std::string &Json) {
+void RequestLog::line(std::string Json) {
+  Json += '\n';
   std::lock_guard<std::mutex> G(Mu);
-  std::fprintf(Out, "%s\n", Json.c_str());
+  std::fwrite(Json.data(), 1, Json.size(), Out);
   std::fflush(Out);
 }
 
 void RequestLog::request(std::string_view Verb, std::string_view Hash,
-                         uint64_t LatencyUs, std::string_view Outcome) {
+                         uint64_t LatencyUs, const RequestPhases &Phases,
+                         std::string_view Outcome) {
   if (!Out)
     return;
-  JsonWriter W;
+  JsonWriter W(JsonWriter::Style::Compact);
   W.beginObject();
   W.field("ts_us", monotonicUs());
   W.field("kind", std::string_view("request"));
@@ -80,20 +66,23 @@ void RequestLog::request(std::string_view Verb, std::string_view Hash,
   if (!Hash.empty())
     W.field("hash", Hash);
   W.field("latency_us", LatencyUs);
+  W.field("parse_us", Phases.ParseUs);
+  W.field("eval_us", Phases.EvalUs);
+  W.field("render_us", Phases.RenderUs);
   W.field("outcome", Outcome);
   W.endObject();
-  line(oneLine(W.take()));
+  line(W.take());
 }
 
 void RequestLog::event(std::string_view Event, std::string_view Detail) {
   if (!Out)
     return;
-  JsonWriter W;
+  JsonWriter W(JsonWriter::Style::Compact);
   W.beginObject();
   W.field("ts_us", monotonicUs());
   W.field("kind", std::string_view("event"));
   W.field("event", Event);
   W.field("detail", Detail);
   W.endObject();
-  line(oneLine(W.take()));
+  line(W.take());
 }

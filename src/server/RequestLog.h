@@ -14,7 +14,14 @@
 ///
 /// Request lines:
 ///   {"ts_us":N,"kind":"request","verb":"eval","hash":"<16hex>",
-///    "latency_us":N,"outcome":"ok"}
+///    "latency_us":N,"parse_us":N,"eval_us":N,"render_us":N,
+///    "outcome":"ok"}
+/// The phase fields split latency_us: parse_us is the frame's JSON
+/// parse, eval_us the interval evaluation (0 unless an eval ran), and
+/// render_us the time from the end of the compile or eval work to the
+/// finished response (0 for other ops and for requests turned away
+/// before that work). The daemon reads these clocks only while the log
+/// is enabled.
 /// Event lines (drain, recovery, shutdown):
 ///   {"ts_us":N,"kind":"event","event":"cache_replay",
 ///    "detail":"replayed=3 skipped=1"}
@@ -39,6 +46,13 @@
 namespace igen {
 namespace server {
 
+/// Per-phase microseconds of one request (see the file comment).
+struct RequestPhases {
+  uint64_t ParseUs = 0;
+  uint64_t EvalUs = 0;
+  uint64_t RenderUs = 0;
+};
+
 class RequestLog {
 public:
   /// \p Path: "" disables, "-" logs to stderr, anything else appends to
@@ -56,7 +70,8 @@ public:
   /// derivable, e.g. malformed frames); \p Outcome is "ok" or the typed
   /// error code.
   void request(std::string_view Verb, std::string_view Hash,
-               uint64_t LatencyUs, std::string_view Outcome);
+               uint64_t LatencyUs, const RequestPhases &Phases,
+               std::string_view Outcome);
 
   /// One lifecycle event (drain_begin, drain_complete, cache_replay,
   /// shutdown, ...) with a free-form detail string.
@@ -67,7 +82,7 @@ private:
   bool OwnsFile = false;
   std::mutex Mu;
 
-  void line(const std::string &Json);
+  void line(std::string Json);
 };
 
 } // namespace server

@@ -14,9 +14,11 @@
 #include "server/Json.h"
 #include "support/JsonWriter.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cfenv>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -30,33 +32,25 @@ namespace {
 // Small helpers
 //===----------------------------------------------------------------------===//
 
-/// JsonWriter pretty-prints; the protocol is one line per frame. Raw
-/// newlines never occur inside JSON string literals (the writer escapes
-/// them), so dropping each '\n' plus its following indent is lossless.
-std::string flattenOneLine(std::string Pretty) {
-  std::string Out;
-  Out.reserve(Pretty.size());
-  size_t I = 0;
-  while (I < Pretty.size()) {
-    char C = Pretty[I];
-    if (C == '\n') {
-      ++I;
-      while (I < Pretty.size() && Pretty[I] == ' ')
-        ++I;
-      continue;
-    }
-    Out.push_back(C);
-    ++I;
-  }
-  return Out;
-}
+/// The protocol is one line per frame, so every response is rendered
+/// compact: one pass, straight into the final line.
+constexpr JsonWriter::Style OneLine = JsonWriter::Style::Compact;
 
-std::string doubleToHex(double D) {
+/// The IEEE bit pattern of a double as 16 lowercase hex digits, held
+/// inline so rendering an endpoint allocates nothing.
+struct HexBits {
+  char Digits[16];
+  std::string_view view() const { return {Digits, sizeof(Digits)}; }
+};
+
+HexBits doubleToHex(double D) {
+  static constexpr char Nibble[] = "0123456789abcdef";
   uint64_t Bits;
   std::memcpy(&Bits, &D, sizeof(Bits));
-  char Buf[17];
-  std::snprintf(Buf, sizeof(Buf), "%016llx", (unsigned long long)Bits);
-  return Buf;
+  HexBits H;
+  for (int I = 15; I >= 0; --I, Bits >>= 4)
+    H.Digits[I] = Nibble[Bits & 0xF];
+  return H;
 }
 
 bool hexToDouble(std::string_view S, double &Out) {
@@ -73,6 +67,7 @@ struct RequestId {
   bool Present = false;
   bool IsString = false;
   std::string Str; ///< string value, or the raw number spelling
+  double Num = 0;  ///< the parsed value of a number id
 };
 
 void writeId(JsonWriter &W, const RequestId &Id) {
@@ -82,19 +77,20 @@ void writeId(JsonWriter &W, const RequestId &Id) {
     W.field("id", std::string_view(Id.Str));
     return;
   }
-  // Re-emit the number exactly as sent.
+  // Integers come back exactly as sent; other numbers as the shortest
+  // spelling of the parsed double.
   W.key("id");
   char *End = nullptr;
   long long LL = std::strtoll(Id.Str.c_str(), &End, 10);
   if (End && *End == '\0')
     W.value(static_cast<int64_t>(LL));
   else
-    W.value(std::strtod(Id.Str.c_str(), nullptr));
+    W.value(Id.Num);
 }
 
 std::string errorResponse(const RequestId &Id, std::string_view Op,
                           std::string_view Code, std::string_view Msg) {
-  JsonWriter W;
+  JsonWriter W(OneLine);
   W.beginObject();
   W.field("ok", false);
   writeId(W, Id);
@@ -106,7 +102,7 @@ std::string errorResponse(const RequestId &Id, std::string_view Op,
   W.field("message", Msg);
   W.endObject();
   W.endObject();
-  return flattenOneLine(W.take());
+  return W.take();
 }
 
 /// Thrown by request handlers; rendered as a typed error response.
@@ -159,9 +155,7 @@ TransformOptions parseCompileOptions(const JsonValue *O) {
       Opts.Branches = TransformOptions::BranchPolicy::Join;
   }
   if (const JsonValue *L = O->member("opt_level")) {
-    if (!L->isNumber() ||
-        L->numberValue() != static_cast<int>(L->numberValue()) ||
-        L->numberValue() < 0 || L->numberValue() > 1)
+    if (!L->isNumber() || !(L->numberValue() == 0 || L->numberValue() == 1))
       bad("bad-option", "opt_level must be 0 or 1");
     Opts.OptLevel = static_cast<int>(L->numberValue());
   }
@@ -219,8 +213,9 @@ EvalArg parseEvalArg(const JsonValue &V) {
   EvalArg A;
   if (V.isObject()) {
     if (const JsonValue *I = V.member("int")) {
-      if (!I->isNumber() ||
-          I->numberValue() != static_cast<long long>(I->numberValue()))
+      // Range first: casting a double outside long long is undefined.
+      if (!I->isNumber() || !(std::fabs(I->numberValue()) < 0x1p63) ||
+          I->numberValue() != std::trunc(I->numberValue()))
         bad("bad-argument", "int argument must be an integer");
       A.K = EvalArg::Kind::Int;
       A.IntValue = static_cast<long long>(I->numberValue());
@@ -252,8 +247,8 @@ void writeInterval(JsonWriter &W, const Interval &I) {
   W.beginObject();
   W.field("lo", I.lo());
   W.field("hi", I.hi());
-  W.field("lo_hex", std::string_view(doubleToHex(I.lo())));
-  W.field("hi_hex", std::string_view(doubleToHex(I.hi())));
+  W.field("lo_hex", doubleToHex(I.lo()).view());
+  W.field("hi_hex", doubleToHex(I.hi()).view());
   W.endObject();
 }
 
@@ -319,6 +314,13 @@ std::string outcomeOf(const std::string &Resp, bool IsError) {
   if (E == std::string::npos)
     return "error";
   return Resp.substr(P, E - P);
+}
+
+uint64_t usBetween(std::chrono::steady_clock::time_point A,
+                   std::chrono::steady_clock::time_point B) {
+  return (uint64_t)std::chrono::duration_cast<std::chrono::microseconds>(B -
+                                                                         A)
+      .count();
 }
 
 uint64_t monotonicUsOf(std::chrono::steady_clock::time_point T) {
@@ -451,6 +453,7 @@ ServerCore::handleFrame(std::string_view Frame,
   Endpoint E = EpInvalid;
   bool IsError = false;
   FrameInfo Info;
+  Info.Timed = Log.enabled();
   std::string Resp;
   try {
     Resp = dispatch(Frame, Arrival, Start, E, IsError, Info);
@@ -466,9 +469,8 @@ ServerCore::handleFrame(std::string_view Frame,
     Resp = errorResponse(RequestId(), "", "internal-error",
                          "unexpected exception handling request");
   }
-  auto Us = (uint64_t)std::chrono::duration_cast<std::chrono::microseconds>(
-                std::chrono::steady_clock::now() - Start)
-                .count();
+  auto End = std::chrono::steady_clock::now();
+  uint64_t Us = usBetween(Start, End);
   Ep[E].record(Us, IsError);
 
   Info.Outcome = outcomeOf(Resp, IsError);
@@ -476,10 +478,13 @@ ServerCore::handleFrame(std::string_view Frame,
     DeadlineExceeded.fetch_add(1, std::memory_order_relaxed);
   else if (Info.Outcome == "shutting-down")
     Drained.fetch_add(1, std::memory_order_relaxed);
-  if (Log.enabled())
+  if (Info.Timed) {
+    if (Info.RenderStart != std::chrono::steady_clock::time_point())
+      Info.Phases.RenderUs = usBetween(Info.RenderStart, End);
     Log.request(Info.Verb.empty() ? std::string_view("invalid")
                                   : std::string_view(Info.Verb),
-                Info.Hash, Us, Info.Outcome);
+                Info.Hash, Us, Info.Phases, Info.Outcome);
+  }
 
   if (Slot >= 0)
     Heartbeat[Slot].store(0, std::memory_order_release);
@@ -501,6 +506,8 @@ std::string ServerCore::dispatch(std::string_view Frame,
                              std::to_string(maxFrameBytes()) + " bytes)");
 
   JsonParseResult P = parseJson(Frame);
+  if (Info.Timed)
+    Info.Phases.ParseUs = usBetween(Start, std::chrono::steady_clock::now());
   if (!P.Ok)
     return errorResponse(Id, "", "bad-json",
                          P.Error + " at byte " +
@@ -518,6 +525,7 @@ std::string ServerCore::dispatch(std::string_view Frame,
     } else if (IdV->isNumber()) {
       Id.Present = true;
       Id.Str = IdV->stringValue(); // raw spelling
+      Id.Num = IdV->numberValue();
     } else {
       return errorResponse(Id, "", "bad-request",
                            "id must be a string or a number");
@@ -559,7 +567,8 @@ std::string ServerCore::dispatch(std::string_view Frame,
     if (const JsonValue *D = Req.member("deadline_ms")) {
       if (!D->isNumber() || !(D->numberValue() > 0))
         bad("bad-request", "deadline_ms must be a positive number");
-      DeadlineMs = (long long)D->numberValue();
+      // Clamped (to ~30 years) before the cast: 1e309 parses as inf.
+      DeadlineMs = (long long)std::min(D->numberValue(), 1e12);
     }
     const bool HasDeadline = DeadlineMs > 0;
     const std::chrono::steady_clock::time_point Deadline =
@@ -607,7 +616,8 @@ std::string ServerCore::dispatch(std::string_view Frame,
                               : Failed == PipelineStage::Sema
                                   ? "sema"
                                   : "transform";
-          JsonWriter W;
+          Info.markRender();
+          JsonWriter W(OneLine);
           W.beginObject();
           W.field("ok", false);
           writeId(W, Id);
@@ -630,7 +640,7 @@ std::string ServerCore::dispatch(std::string_view Frame,
           W.endArray();
           W.endObject();
           W.endObject();
-          return flattenOneLine(W.take());
+          return W.take();
         }
         Prog = std::shared_ptr<const InMemoryProgram>(std::move(Fresh));
         Cache.insert(Hash, Prog);
@@ -640,7 +650,8 @@ std::string ServerCore::dispatch(std::string_view Frame,
       }
       profile::serveNoteCompile(/*Err=*/false);
 
-      JsonWriter W;
+      Info.markRender();
+      JsonWriter W(OneLine);
       W.beginObject();
       W.field("ok", true);
       writeId(W, Id);
@@ -655,7 +666,7 @@ std::string ServerCore::dispatch(std::string_view Frame,
       W.field("emitted_bytes", (uint64_t)Prog->EmittedC.size());
       W.endObject();
       IsError = false;
-      return flattenOneLine(W.take());
+      return W.take();
     }
 
     if (Op == "eval") {
@@ -735,7 +746,9 @@ std::string ServerCore::dispatch(std::string_view Frame,
         if (const JsonValue *SL = O->member("step_limit")) {
           if (!SL->isNumber() || SL->numberValue() < 1)
             bad("bad-option", "step_limit must be a positive integer");
-          EO.StepLimit = (unsigned long long)SL->numberValue();
+          EO.StepLimit = SL->numberValue() < 0x1p64
+                             ? (unsigned long long)SL->numberValue()
+                             : ~0ull;
         }
       }
 
@@ -752,6 +765,9 @@ std::string ServerCore::dispatch(std::string_view Frame,
 
       EvalResult R;
       bool Poisoned = false;
+      std::chrono::steady_clock::time_point EvalStart;
+      if (Info.Timed)
+        EvalStart = std::chrono::steady_clock::now();
       {
         RoundUpwardScope Up;
         bool EntryPoison = requestFenvCheck(PoisonPolicy);
@@ -769,6 +785,10 @@ std::string ServerCore::dispatch(std::string_view Frame,
             for (Interval &I : Arr)
               I = Interval::entire();
         }
+      }
+      if (Info.Timed) {
+        Info.markRender();
+        Info.Phases.EvalUs = usBetween(EvalStart, Info.RenderStart);
       }
 
       EvalsServed.fetch_add(1, std::memory_order_relaxed);
@@ -790,7 +810,11 @@ std::string ServerCore::dispatch(std::string_view Frame,
                       Prog->Opts.ScalarLibrary &&
                       Prog->Opts.Prec == TransformOptions::Precision::Double;
 
-      JsonWriter W;
+      size_t Intervals = 1;
+      for (const auto &Arr : R.ArrayOutputs)
+        Intervals += Arr.size();
+      JsonWriter W(OneLine);
+      W.reserve(256 + 128 * Intervals); // an endpoint pair is <= 128 B
       W.beginObject();
       W.field("ok", true);
       writeId(W, Id);
@@ -810,8 +834,8 @@ std::string ServerCore::dispatch(std::string_view Frame,
         W.field("kind", std::string_view("interval"));
         W.field("lo", R.Return.lo());
         W.field("hi", R.Return.hi());
-        W.field("lo_hex", std::string_view(doubleToHex(R.Return.lo())));
-        W.field("hi_hex", std::string_view(doubleToHex(R.Return.hi())));
+        W.field("lo_hex", doubleToHex(R.Return.lo()).view());
+        W.field("hi_hex", doubleToHex(R.Return.hi()).view());
         W.endObject();
       }
       W.key("arrays");
@@ -829,13 +853,13 @@ std::string ServerCore::dispatch(std::string_view Frame,
       W.field("ops", (uint64_t)R.OpsExecuted);
       W.endObject();
       IsError = false;
-      return flattenOneLine(W.take());
+      return W.take();
     }
 
     if (Op == "stats") {
       EpOut = EpStats;
       // Count this request before rendering so the report includes it.
-      JsonWriter W;
+      JsonWriter W(OneLine);
       W.beginObject();
       W.field("ok", true);
       writeId(W, Id);
@@ -925,12 +949,12 @@ std::string ServerCore::dispatch(std::string_view Frame,
       }
       W.endObject();
       IsError = false;
-      return flattenOneLine(W.take());
+      return W.take();
     }
 
     if (Op == "evict") {
       EpOut = EpEvict;
-      JsonWriter W;
+      JsonWriter W(OneLine);
       W.beginObject();
       W.field("ok", true);
       writeId(W, Id);
@@ -950,7 +974,7 @@ std::string ServerCore::dispatch(std::string_view Frame,
       }
       W.endObject();
       IsError = false;
-      return flattenOneLine(W.take());
+      return W.take();
     }
 
     if (Op == "health") {
@@ -960,7 +984,7 @@ std::string ServerCore::dispatch(std::string_view Frame,
           (uint64_t)std::chrono::duration_cast<std::chrono::microseconds>(
               std::chrono::steady_clock::now() - StartTime)
               .count();
-      JsonWriter W;
+      JsonWriter W(OneLine);
       W.beginObject();
       W.field("ok", true);
       writeId(W, Id);
@@ -972,21 +996,21 @@ std::string ServerCore::dispatch(std::string_view Frame,
       W.field("uptime_us", UptimeUs);
       W.endObject();
       IsError = false;
-      return flattenOneLine(W.take());
+      return W.take();
     }
 
     if (Op == "shutdown") {
       EpOut = EpShutdown;
       Shutdown.store(true, std::memory_order_release);
       Log.event("shutdown", "shutdown op received");
-      JsonWriter W;
+      JsonWriter W(OneLine);
       W.beginObject();
       W.field("ok", true);
       writeId(W, Id);
       W.field("op", std::string_view("shutdown"));
       W.endObject();
       IsError = false;
-      return flattenOneLine(W.take());
+      return W.take();
     }
 
     return errorResponse(Id, Op, "bad-request",

@@ -212,6 +212,17 @@ private:
     std::string Verb;           ///< op string ("" when none was parsed)
     std::string Hash;           ///< content hash when one was derived
     std::string Outcome = "ok"; ///< "ok" or the typed error code
+    /// Phase timings for the request log; the clocks are read only when
+    /// Timed (the log is on).
+    bool Timed = false;
+    RequestPhases Phases;
+    /// Where the compile/eval work ended and rendering began (the epoch
+    /// when no render phase was reached).
+    std::chrono::steady_clock::time_point RenderStart{};
+    void markRender() {
+      if (Timed)
+        RenderStart = std::chrono::steady_clock::now();
+    }
   };
 
   /// \p Start is handleFrame's entry timestamp, reused for deadline

@@ -18,6 +18,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <deque>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -46,28 +47,53 @@ extern "C" void onDrainSignal(int) { DrainRequested = 1; }
 /// the fd (a frame can still be in flight when the peer disconnects),
 /// so connections are shared_ptr-owned by both sides and the fd is
 /// closed exactly once, when the last owner drops it.
+///
+/// Responses leave in request order. The reactor numbers each frame it
+/// reads; pipelined frames still run on different workers at once, and
+/// a response that finishes before an earlier frame's waits in Early
+/// until its turn.
 struct Connection {
   int Fd = -1;
-  std::mutex WriteMu;
   std::atomic<bool> Open{true};
+  // Reactor-only state.
   std::string ReadBuf;
   /// Oversized-frame recovery: drop bytes until the next newline, then
   /// resume normal framing on the same connection.
   bool Discarding = false;
+  uint64_t NextSeq = 0; ///< sequence number of the next frame read
 
   ~Connection() {
     if (Fd >= 0)
       ::close(Fd);
   }
 
-  /// Serializes whole lines onto the socket; concurrent workers for the
-  /// same connection cannot interleave partial responses.
-  void writeLine(const std::string &Line) {
+  /// Hands over the response to frame \p Seq (without its newline).
+  /// Writes it, and any later responses it was holding up, as whole
+  /// lines: concurrent workers never interleave partial responses.
+  void deliver(uint64_t Seq, std::string Line) {
+    Line.push_back('\n');
     std::lock_guard<std::mutex> G(WriteMu);
+    if (Seq != NextToWrite) {
+      Early.emplace(Seq, std::move(Line));
+      return;
+    }
+    writeAll(Line);
+    ++NextToWrite;
+    for (auto It = Early.begin();
+         It != Early.end() && It->first == NextToWrite; It = Early.erase(It)) {
+      writeAll(It->second);
+      ++NextToWrite;
+    }
+  }
+
+private:
+  std::mutex WriteMu;
+  uint64_t NextToWrite = 0;              ///< guarded by WriteMu
+  std::map<uint64_t, std::string> Early; ///< guarded by WriteMu
+
+  void writeAll(const std::string &Out) {
     if (!Open.load(std::memory_order_relaxed))
       return;
-    std::string Out = Line;
-    Out.push_back('\n');
     size_t Off = 0;
     while (Off < Out.size()) {
       // MSG_NOSIGNAL + the process-wide SIGPIPE ignore: a peer that
@@ -88,6 +114,7 @@ struct Connection {
 
 struct WorkItem {
   std::shared_ptr<Connection> Conn;
+  uint64_t Seq = 0; ///< the frame's place in its connection's order
   std::string Frame;
   /// When the frame came off the wire; deadlines count from here, so
   /// time queued behind other requests is not free.
@@ -267,9 +294,10 @@ private:
       if (Conn->ReadBuf.size() > maxFrameBytes()) {
         // The frame can only grow; answer now and resynchronize at the
         // next newline so the connection keeps serving.
-        Conn->writeLine(typedErrorLine(
-            "frame-too-large",
-            "request frame exceeds IGEN_SERVE_MAX_FRAME"));
+        Conn->deliver(Conn->NextSeq++,
+                      typedErrorLine(
+                          "frame-too-large",
+                          "request frame exceeds IGEN_SERVE_MAX_FRAME"));
         Conn->ReadBuf.clear();
         Conn->Discarding = true;
       }
@@ -282,8 +310,10 @@ private:
   /// running". Small frames that could plausibly be health ops are
   /// parsed on the reactor thread; only a confirmed {"op":"health"} is
   /// handled inline (cheap: a counter scan), everything else takes the
-  /// normal queue path.
-  bool tryInlineHealth(const std::shared_ptr<Connection> &Conn,
+  /// normal queue path. The answer still keeps its place in the
+  /// connection's response order: behind a frame of the same connection
+  /// that is still running, it is computed now and sent after that.
+  bool tryInlineHealth(const std::shared_ptr<Connection> &Conn, uint64_t Seq,
                        const std::string &Frame,
                        std::chrono::steady_clock::time_point Arrival) {
     if (Frame.size() > 2048 || Frame.find("\"health\"") == std::string::npos)
@@ -294,7 +324,7 @@ private:
     const JsonValue *Op = P.Value.member("op");
     if (!Op || !Op->isString() || Op->stringValue() != "health")
       return false;
-    Conn->writeLine(Core.handleFrame(Frame, Arrival));
+    Conn->deliver(Seq, Core.handleFrame(Frame, Arrival));
     return true;
   }
 
@@ -306,10 +336,11 @@ private:
     if (Frame.empty())
       return;
     auto Arrival = std::chrono::steady_clock::now();
-    if (tryInlineHealth(Conn, Frame, Arrival))
+    uint64_t Seq = Conn->NextSeq++;
+    if (tryInlineHealth(Conn, Seq, Frame, Arrival))
       return;
-    if (!Queue.tryPush(WorkItem{Conn, std::move(Frame), Arrival}))
-      Conn->writeLine(typedErrorLine(
+    if (!Queue.tryPush(WorkItem{Conn, Seq, std::move(Frame), Arrival}))
+      Conn->deliver(Seq, typedErrorLine(
           Core.draining() ? "shutting-down" : "queue-full",
           Core.draining()
               ? "daemon is draining; retry against a fresh instance"
@@ -430,9 +461,8 @@ int igen::server::runServer(const ServeConfig &Config) {
   Pool.parallelFor(Workers, Workers, [&](size_t) {
     WorkItem Item;
     while (Queue.pop(Item)) {
-      std::string Resp = Core.handleFrame(Item.Frame, Item.Arrival);
-      Item.Conn->writeLine(Resp);
-      Item.Conn.reset(); // response is on the wire; release the fd ref
+      Item.Conn->deliver(Item.Seq, Core.handleFrame(Item.Frame, Item.Arrival));
+      Item.Conn.reset(); // response is handed over; release the fd ref
       Queue.done();      // only now may a drain observe "idle"
       if (Core.shutdownRequested())
         Queue.close(); // wake idle siblings; drains remaining items

@@ -15,6 +15,10 @@
 /// what a daemon wants: serving owns the pool for its lifetime, and the
 /// scalar evaluator never nests another parallelFor inside it.)
 ///
+/// Clients may pipeline: a connection's frames can run on several
+/// workers at once, but its responses are written in request order
+/// (FIFO per connection), whichever path answers them.
+///
 /// When the queue is full the acceptor answers the frame immediately
 /// with a typed "queue-full" error instead of blocking the reactor;
 /// back-pressure is thus visible to clients rather than silent.

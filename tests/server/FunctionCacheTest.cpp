@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 using namespace igen;
 using namespace igen::server;
 
@@ -47,6 +49,30 @@ TEST(CompileHash, OptionsAreSemanticallySignificant) {
   B = A;
   B.SourceName = "elsewhere.c";
   EXPECT_EQ(Base, hashCompileRequest("double f(double x){return x;}", B));
+}
+
+TEST(CompileHash, EveryByteAndTheLengthCount) {
+  // The hash mixes whole 8-byte words: a change anywhere in a word, in
+  // the zero-padded tail, or in where one field ends and the next
+  // begins must still give a new handle.
+  TransformOptions A;
+  const std::string Src =
+      "double f(double x) { double y = x * x + 1.0; return y / (x - 3.0); }";
+  std::set<uint64_t> Seen = {hashCompileRequest(Src, A)};
+  for (size_t I = 0; I < Src.size(); ++I)
+    for (char Flip : {'\x01', '\x80'}) {
+      std::string S = Src;
+      S[I] = char(S[I] ^ Flip);
+      EXPECT_TRUE(Seen.insert(hashCompileRequest(S, A)).second) << I;
+    }
+  std::string Padded = Src;
+  for (int K = 0; K < 9; ++K) {
+    Padded.push_back('\0');
+    EXPECT_TRUE(Seen.insert(hashCompileRequest(Padded, A)).second) << K;
+  }
+  TransformOptions M = A;
+  M.ModuleName = "x";
+  EXPECT_NE(hashCompileRequest(Src, M), hashCompileRequest(Src + "x", A));
 }
 
 TEST(CompileHash, HandleRoundTrip) {

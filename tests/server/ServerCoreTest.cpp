@@ -438,8 +438,13 @@ TEST(ServerCoreLogTest, RequestLogLinesAreSchemaValidJson) {
   Cfg.LogPath = Tmpl;
   {
     ServerCore Core(Cfg);
-    Core.handleFrame("{\"op\":\"compile\",\"source\":\"double f(double "
-                     "x) { return x; }\"}");
+    JsonParseResult C = parseJson(
+        Core.handleFrame("{\"op\":\"compile\",\"source\":\"double f(double "
+                         "x) { return x; }\"}"));
+    ASSERT_TRUE(C.Ok && C.Value.member("handle"));
+    Core.handleFrame("{\"op\":\"eval\",\"handle\":\"" +
+                     C.Value.member("handle")->stringValue() +
+                     "\",\"function\":\"f\",\"args\":[{\"lo\":1,\"hi\":2}]}");
     Core.handleFrame("{\"op\":\"stats\"}");
     Core.handleFrame("not json");
     Core.beginDrain();
@@ -463,6 +468,26 @@ TEST(ServerCoreLogTest, RequestLogLinesAreSchemaValidJson) {
       ASSERT_TRUE(R.Value.member("verb")) << Line;
       ASSERT_TRUE(R.Value.member("latency_us")) << Line;
       ASSERT_TRUE(R.Value.member("outcome")) << Line;
+      // The phases split the latency: disjoint, so they sum to at most it.
+      double PhaseSum = 0;
+      for (const char *Phase : {"parse_us", "eval_us", "render_us"}) {
+        const JsonValue *P = R.Value.member(Phase);
+        ASSERT_TRUE(P && P->isNumber() && P->numberValue() >= 0)
+            << Phase << " in " << Line;
+        PhaseSum += P->numberValue();
+      }
+      EXPECT_LE(PhaseSum, R.Value.member("latency_us")->numberValue())
+          << Line;
+      const std::string &Verb = R.Value.member("verb")->stringValue();
+      if (Verb != "eval") {
+        EXPECT_EQ(R.Value.member("eval_us")->numberValue(), 0) << Line;
+      }
+      // Only compile and eval work ends in a timed render; a request
+      // turned away before that (here: the drain gate) has none.
+      if ((Verb != "compile" && Verb != "eval") ||
+          R.Value.member("outcome")->stringValue() == "shutting-down") {
+        EXPECT_EQ(R.Value.member("render_us")->numberValue(), 0) << Line;
+      }
       Outcomes.push_back(R.Value.member("outcome")->stringValue());
       const JsonValue *Hash = R.Value.member("hash");
       if (R.Value.member("verb")->stringValue() == "compile" && Hash &&
@@ -474,11 +499,12 @@ TEST(ServerCoreLogTest, RequestLogLinesAreSchemaValidJson) {
       ++Events;
     }
   }
-  ASSERT_EQ(Outcomes.size(), 4u);
+  ASSERT_EQ(Outcomes.size(), 5u);
   EXPECT_EQ(Outcomes[0], "ok");
   EXPECT_EQ(Outcomes[1], "ok");
-  EXPECT_EQ(Outcomes[2], "bad-json");
-  EXPECT_EQ(Outcomes[3], "shutting-down");
+  EXPECT_EQ(Outcomes[2], "ok");
+  EXPECT_EQ(Outcomes[3], "bad-json");
+  EXPECT_EQ(Outcomes[4], "shutting-down");
   EXPECT_GE(Events, 1u); // at least drain_begin
   EXPECT_TRUE(SawCompileHash);
   std::remove(Tmpl);

@@ -156,6 +156,37 @@ TEST_F(DaemonTest, PipelinedFramesInOneWrite) {
   ::close(Fd);
 }
 
+TEST_F(DaemonTest, PipelinedResponsesKeepRequestOrder) {
+  int Fd = connectClient();
+  JsonValue C = rpc(Fd, "{\"op\":\"compile\",\"source\":\"double slow(double "
+                        "x) { double s = x; for (int i = 0; i < 300000; i = i "
+                        "+ 1) { s = s * 0.5 + 1.0; } return s; }\",\"options\":"
+                        "{\"opt_level\":0,\"target\":\"ss\"}}");
+  ASSERT_TRUE(C.member("ok")->boolValue());
+  std::string H = C.member("handle")->stringValue();
+  // A slow eval, then frames every other path answers faster: a worker
+  // (stats), the reactor itself (health), and a parse error. Each must
+  // still come back after the frames sent before it.
+  sendAll(Fd, "{\"op\":\"eval\",\"id\":1,\"handle\":\"" + H +
+                  "\",\"function\":\"slow\",\"args\":[1.0]}\n"
+                  "{\"op\":\"stats\",\"id\":2}\n"
+                  "{\"op\":\"health\",\"id\":3}\n"
+                  "not json\n"
+                  "{\"op\":\"stats\",\"id\":5}\n");
+  for (int Want : {1, 2, 3, 4, 5}) {
+    JsonParseResult R = parseJson(recvLine(Fd));
+    ASSERT_TRUE(R.Ok);
+    if (Want == 4) {
+      EXPECT_EQ(R.Value.member("error")->member("code")->stringValue(),
+                "bad-json");
+      continue;
+    }
+    ASSERT_TRUE(R.Value.member("id")) << "response " << Want;
+    EXPECT_DOUBLE_EQ(R.Value.member("id")->numberValue(), Want);
+  }
+  ::close(Fd);
+}
+
 TEST_F(DaemonTest, GarbageFrameKeepsConnectionServing) {
   int Fd = connectClient();
   JsonValue Bad = rpc(Fd, "this is not json {{{");
