@@ -61,43 +61,13 @@ bool igen::exprStructurallyEqual(const Expr *A, const Expr *B) {
 }
 
 bool igen::exprReferencesVar(const Expr *E, const std::string &Name) {
-  switch (E->kind()) {
-  case Expr::Kind::IntLiteral:
-  case Expr::Kind::FloatLiteral:
-    return false;
-  case Expr::Kind::DeclRef:
-    return cast<DeclRefExpr>(E)->Name == Name;
-  case Expr::Kind::Unary:
-    return exprReferencesVar(cast<UnaryExpr>(E)->Sub, Name);
-  case Expr::Kind::Binary: {
-    const auto *B = cast<BinaryExpr>(E);
-    return exprReferencesVar(B->LHS, Name) ||
-           exprReferencesVar(B->RHS, Name);
-  }
-  case Expr::Kind::Conditional: {
-    const auto *C = cast<ConditionalExpr>(E);
-    return exprReferencesVar(C->Cond, Name) ||
-           exprReferencesVar(C->Then, Name) ||
-           exprReferencesVar(C->Else, Name);
-  }
-  case Expr::Kind::Call: {
-    const auto *C = cast<CallExpr>(E);
-    for (const Expr *Arg : C->Args)
-      if (exprReferencesVar(Arg, Name))
-        return true;
-    return false;
-  }
-  case Expr::Kind::Index: {
-    const auto *I = cast<IndexExpr>(E);
-    return exprReferencesVar(I->Base, Name) ||
-           exprReferencesVar(I->Idx, Name);
-  }
-  case Expr::Kind::Cast:
-    return exprReferencesVar(cast<CastExpr>(E)->Sub, Name);
-  case Expr::Kind::Paren:
-    return exprReferencesVar(cast<ParenExpr>(E)->Sub, Name);
-  }
-  return false;
+  if (const auto *Ref = dynCast<DeclRefExpr>(E))
+    return Ref->Name == Name;
+  bool Found = false;
+  forEachSubexpr(E, [&](const Expr *Sub) {
+    Found = Found || exprReferencesVar(Sub, Name);
+  });
+  return Found;
 }
 
 namespace {
@@ -164,51 +134,14 @@ bool stmtUsesVarExcluding(const Stmt *S, const std::string &Name,
                           const Stmt *Skip, const Stmt *SkipSubtree) {
   if (S == Skip || S == SkipSubtree)
     return false;
-  switch (S->kind()) {
-  case Stmt::Kind::Compound:
-    for (const Stmt *Child : cast<CompoundStmt>(S)->Body)
-      if (stmtUsesVarExcluding(Child, Name, Skip, SkipSubtree))
-        return true;
-    return false;
-  case Stmt::Kind::DeclStmt:
-    for (const VarDecl *D : cast<DeclStmt>(S)->Decls)
-      if (D->Init && exprReferencesVar(D->Init, Name))
-        return true;
-    return false;
-  case Stmt::Kind::ExprStmt:
-    return exprReferencesVar(cast<ExprStmt>(S)->E, Name);
-  case Stmt::Kind::If: {
-    const auto *If = cast<IfStmt>(S);
-    return exprReferencesVar(If->Cond, Name) ||
-           stmtUsesVarExcluding(If->Then, Name, Skip, SkipSubtree) ||
-           (If->Else &&
-            stmtUsesVarExcluding(If->Else, Name, Skip, SkipSubtree));
-  }
-  case Stmt::Kind::For: {
-    const auto *For = cast<ForStmt>(S);
-    return (For->Init &&
-            stmtUsesVarExcluding(For->Init, Name, Skip, SkipSubtree)) ||
-           (For->Cond && exprReferencesVar(For->Cond, Name)) ||
-           (For->Inc && exprReferencesVar(For->Inc, Name)) ||
-           stmtUsesVarExcluding(For->Body, Name, Skip, SkipSubtree);
-  }
-  case Stmt::Kind::While: {
-    const auto *W = cast<WhileStmt>(S);
-    return exprReferencesVar(W->Cond, Name) ||
-           stmtUsesVarExcluding(W->Body, Name, Skip, SkipSubtree);
-  }
-  case Stmt::Kind::Do: {
-    const auto *D = cast<DoStmt>(S);
-    return exprReferencesVar(D->Cond, Name) ||
-           stmtUsesVarExcluding(D->Body, Name, Skip, SkipSubtree);
-  }
-  case Stmt::Kind::Return: {
-    const auto *R = cast<ReturnStmt>(S);
-    return R->Value && exprReferencesVar(R->Value, Name);
-  }
-  default:
-    return false;
-  }
+  bool Found = false;
+  forEachChild(
+      S, [&](const Expr *E) { Found = Found || exprReferencesVar(E, Name); },
+      [&](const Stmt *Child) {
+        Found = Found ||
+                stmtUsesVarExcluding(Child, Name, Skip, SkipSubtree);
+      });
+  return Found;
 }
 
 class ReductionFinder {
@@ -336,6 +269,7 @@ private:
     Site.Target = Target;
     Site.Terms = std::move(Terms);
     Site.AccumLoop = Accum;
+    Site.Index = static_cast<unsigned>(Result.Sites.size());
     Result.Sites.push_back(std::move(Site));
   }
 

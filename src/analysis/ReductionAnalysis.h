@@ -28,7 +28,6 @@
 #include "frontend/AST.h"
 #include "support/Diagnostics.h"
 
-#include <map>
 #include <vector>
 
 namespace igen {
@@ -50,29 +49,15 @@ struct ReductionSite {
   /// Loop around which the accumulator is initialized/reduced: the
   /// outermost loop in which Target is invariant.
   ForStmt *AccumLoop = nullptr;
+  /// Position in ReductionAnalysisResult::Sites.
+  unsigned Index = 0;
 };
 
-/// Result of analyzing one function: reduction sites grouped by their
-/// accumulation loop, plus a map from update statements to sites for the
-/// transformer.
+/// Result of analyzing one function, in source order. annotateLowering
+/// (transform/LoweringRules.h) links each site from its update statement
+/// and its accumulation loop.
 struct ReductionAnalysisResult {
   std::vector<ReductionSite> Sites;
-
-  const ReductionSite *siteForUpdate(const Stmt *S) const {
-    for (const ReductionSite &Site : Sites)
-      if (Site.Update == S)
-        return &Site;
-    return nullptr;
-  }
-
-  /// Sites whose accumulator wraps the given loop.
-  std::vector<const ReductionSite *> sitesForLoop(const Stmt *Loop) const {
-    std::vector<const ReductionSite *> Out;
-    for (const ReductionSite &Site : Sites)
-      if (Site.AccumLoop == Loop)
-        Out.push_back(&Site);
-    return Out;
-  }
 };
 
 /// Structural equality of expressions (used to match the target on both

@@ -26,6 +26,14 @@
 namespace igen {
 
 class ASTContext;
+class FunctionDecl;
+
+// Lowering facts attached to the AST once after Sema by annotateLowering()
+// (transform/LoweringRules.h), read by the C emitter and the evaluator.
+struct LiteralEnclosure;
+struct FunctionLowering;
+struct ReductionSite;
+enum class MathOp : unsigned char;
 
 //===----------------------------------------------------------------------===//
 // Expressions
@@ -87,6 +95,7 @@ public:
   std::string Spelling;
   bool IsFloatSuffix; ///< 1.0f
   bool IsTolerance;   ///< 0.25t: tolerance constant (Section IV-C)
+  const LiteralEnclosure *Enc = nullptr; ///< its sound enclosures
 
   static bool classof(const Expr *E) {
     return E->kind() == Kind::FloatLiteral;
@@ -199,6 +208,8 @@ public:
 
   std::string Callee;
   std::vector<Expr *> Args;
+  FunctionDecl *Fn = nullptr; ///< user callee, resolved by Sema
+  MathOp Math{};              ///< canonical math operation (or None)
 
   static bool classof(const Expr *E) { return E->kind() == Kind::Call; }
 };
@@ -263,6 +274,8 @@ public:
   bool HasTolerance = false;
   double Tolerance = 0.0; ///< The ':0.125' annotation (Section IV-C).
   std::string ToleranceSpelling;
+  double TolUp = 0.0; ///< The tolerance rounded upward from its spelling.
+  unsigned Slot = 0;  ///< Frame slot within its function, set by Sema.
 };
 
 //===----------------------------------------------------------------------===//
@@ -320,6 +333,8 @@ public:
   ExprStmt(SourceLoc Loc, Expr *E) : Stmt(Kind::ExprStmt, Loc), E(E) {}
 
   Expr *E;
+  /// The reduction this statement updates, if any (Section VI-B).
+  const ReductionSite *Reduction = nullptr;
 
   static bool classof(const Stmt *S) { return S->kind() == Kind::ExprStmt; }
 };
@@ -332,6 +347,10 @@ public:
   Expr *Cond;
   Stmt *Then;
   Stmt *Else; ///< may be null
+  /// Join policy (Section IV-B): both branches can run and be hulled,
+  /// over these scalar interval variables in source order.
+  bool JoinSafe = false;
+  std::vector<VarDecl *> JoinTargets;
 
   static bool classof(const Stmt *S) { return S->kind() == Kind::If; }
 };
@@ -346,6 +365,9 @@ public:
   Stmt *Body = nullptr;
   /// Variables named by a preceding `#pragma igen reduce` (Section VI-B).
   std::vector<std::string> ReduceVars;
+  /// Reductions whose accumulator is initialized before this loop and
+  /// reduced after it.
+  std::vector<const ReductionSite *> Reductions;
 
   static bool classof(const Stmt *S) { return S->kind() == Kind::For; }
 };
@@ -415,6 +437,8 @@ public:
   std::vector<VarDecl *> Params;
   CompoundStmt *Body = nullptr; ///< null: prototype only
   bool IsStatic = false;
+  unsigned NumSlots = 0; ///< parameters + locals, set by Sema
+  const FunctionLowering *Lowering = nullptr; ///< null: prototype only
 };
 
 /// One top-level item: a function or a verbatim directive line.
@@ -454,6 +478,8 @@ public:
   }
 
   TranslationUnit TU;
+  /// Set once annotateLowering() has run over TU.
+  bool Lowered = false;
 
 private:
   struct HolderBase {
@@ -485,6 +511,79 @@ template <typename T, typename U> T *cast(U *Node) {
 template <typename T, typename U> const T *cast(const U *Node) {
   assert(Node && T::classof(Node) && "bad cast");
   return static_cast<const T *>(Node);
+}
+
+/// Calls \p Fn (returning void) on each direct subexpression of \p E,
+/// left to right.
+template <typename FnT> void forEachSubexpr(const Expr *E, FnT &&Fn) {
+  switch (E->kind()) {
+  case Expr::Kind::IntLiteral:
+  case Expr::Kind::FloatLiteral:
+  case Expr::Kind::DeclRef:
+    return;
+  case Expr::Kind::Unary:
+    return Fn(cast<UnaryExpr>(E)->Sub);
+  case Expr::Kind::Binary:
+    Fn(cast<BinaryExpr>(E)->LHS);
+    return Fn(cast<BinaryExpr>(E)->RHS);
+  case Expr::Kind::Conditional:
+    Fn(cast<ConditionalExpr>(E)->Cond);
+    Fn(cast<ConditionalExpr>(E)->Then);
+    return Fn(cast<ConditionalExpr>(E)->Else);
+  case Expr::Kind::Call:
+    for (Expr *Arg : cast<CallExpr>(E)->Args)
+      Fn(Arg);
+    return;
+  case Expr::Kind::Index:
+    Fn(cast<IndexExpr>(E)->Base);
+    return Fn(cast<IndexExpr>(E)->Idx);
+  case Expr::Kind::Cast:
+    return Fn(cast<CastExpr>(E)->Sub);
+  case Expr::Kind::Paren:
+    return Fn(cast<ParenExpr>(E)->Sub);
+  }
+}
+
+/// Calls \p OnExpr / \p OnStmt on each direct child of \p S in source
+/// order (initializers, conditions and increments are expressions; a
+/// for-init is a statement). Absent children are skipped.
+template <typename ExprFnT, typename StmtFnT>
+void forEachChild(const Stmt *S, ExprFnT &&OnExpr, StmtFnT &&OnStmt) {
+  auto E = [&](Expr *X) { if (X) OnExpr(X); };
+  auto St = [&](Stmt *X) { if (X) OnStmt(X); };
+  switch (S->kind()) {
+  case Stmt::Kind::Compound:
+    for (Stmt *Child : cast<CompoundStmt>(S)->Body)
+      St(Child);
+    return;
+  case Stmt::Kind::DeclStmt:
+    for (const VarDecl *D : cast<DeclStmt>(S)->Decls)
+      E(D->Init);
+    return;
+  case Stmt::Kind::ExprStmt:
+    return E(cast<ExprStmt>(S)->E);
+  case Stmt::Kind::If:
+    E(cast<IfStmt>(S)->Cond);
+    St(cast<IfStmt>(S)->Then);
+    return St(cast<IfStmt>(S)->Else);
+  case Stmt::Kind::For:
+    St(cast<ForStmt>(S)->Init);
+    E(cast<ForStmt>(S)->Cond);
+    E(cast<ForStmt>(S)->Inc);
+    return St(cast<ForStmt>(S)->Body);
+  case Stmt::Kind::While:
+    E(cast<WhileStmt>(S)->Cond);
+    return St(cast<WhileStmt>(S)->Body);
+  case Stmt::Kind::Do:
+    St(cast<DoStmt>(S)->Body);
+    return E(cast<DoStmt>(S)->Cond);
+  case Stmt::Kind::Return:
+    return E(cast<ReturnStmt>(S)->Value);
+  case Stmt::Kind::Break:
+  case Stmt::Kind::Continue:
+  case Stmt::Kind::Null:
+    return;
+  }
 }
 
 } // namespace igen

@@ -38,13 +38,19 @@ private:
   const Token &peek(unsigned Ahead = 1) const {
     return Tokens[std::min(Index + Ahead, Tokens.size() - 1)];
   }
-  Token consume() { return Tokens[Index++]; }
-  bool consumeIf(TokenKind K) {
-    if (cur().is(K)) {
+  /// Advances one token but never past the trailing EndOfFile token, so
+  /// truncated input keeps reading EOF instead of running off the end.
+  Token consume() {
+    Token T = cur();
+    if (Index + 1 < Tokens.size())
       ++Index;
-      return true;
-    }
-    return false;
+    return T;
+  }
+  bool consumeIf(TokenKind K) {
+    if (!cur().is(K))
+      return false;
+    consume();
+    return true;
   }
   bool expect(TokenKind K, const char *Context);
   void skipToSync();

@@ -80,6 +80,7 @@ bool Sema::run() {
 
 void Sema::declare(VarDecl *D) {
   assert(!Scopes.empty());
+  D->Slot = CurFunction->NumSlots++;
   auto [It, Inserted] = Scopes.back().insert({D->Name, D});
   if (!Inserted)
     Diags.error(D->Loc, "redefinition of '" + D->Name + "'");
@@ -96,6 +97,7 @@ VarDecl *Sema::lookup(const std::string &Name) {
 
 void Sema::checkFunction(FunctionDecl *F) {
   CurFunction = F;
+  F->NumSlots = 0;
   pushScope();
   for (VarDecl *P : F->Params)
     declare(P);
@@ -237,6 +239,7 @@ const Type *Sema::checkCall(CallExpr *E) {
   case CalleeKind::UserFunction:
   case CalleeKind::Unknown: {
     if (FunctionDecl *F = Ctx.TU.findFunction(E->Callee)) {
+      E->Fn = F;
       if (F->Params.size() != E->Args.size())
         Diags.error(E->loc(), formatString(
                                   "call to '%s' with %zu arguments; "

@@ -8,32 +8,24 @@
 
 #include <cctype>
 #include <cstdlib>
-#include <map>
 #include <string>
 
 using namespace igen;
 
 DdInterval igen::pow10Interval(int N) {
   assertRoundUpward();
-  static std::map<int, DdInterval> Cache;
-  auto It = Cache.find(N);
-  if (It != Cache.end())
-    return It->second;
-  DdInterval Result;
-  if (N == 0) {
-    Result = DdInterval::fromPoint(1.0);
-  } else if (N < 0) {
-    Result = ddiDiv(DdInterval::fromPoint(1.0), pow10Interval(-N));
-  } else if (N == 1) {
-    Result = DdInterval::fromPoint(10.0);
-  } else {
-    // Square-and-multiply over sound interval arithmetic.
-    DdInterval Half = pow10Interval(N / 2);
-    Result = ddiMul(Half, Half);
-    if (N % 2)
-      Result = ddiMul(Result, DdInterval::fromPoint(10.0));
-  }
-  Cache.emplace(N, Result);
+  if (N == 0)
+    return DdInterval::fromPoint(1.0);
+  if (N < 0)
+    return ddiDiv(DdInterval::fromPoint(1.0), pow10Interval(-N));
+  if (N == 1)
+    return DdInterval::fromPoint(10.0);
+  // Square-and-multiply over sound interval arithmetic: O(log N) steps,
+  // cheap enough to recompute, so there is no shared memo to guard.
+  DdInterval Half = pow10Interval(N / 2);
+  DdInterval Result = ddiMul(Half, Half);
+  if (N % 2)
+    Result = ddiMul(Result, DdInterval::fromPoint(10.0));
   return Result;
 }
 

@@ -1632,46 +1632,8 @@ bool igen::exprIsPureValue(const Expr *E) {
 
 void igen::forEachSubexprPruned(const Expr *E,
                                 const std::function<bool(const Expr *)> &Fn) {
-  if (!E || !Fn(E))
-    return;
-  switch (E->kind()) {
-  case Expr::Kind::IntLiteral:
-  case Expr::Kind::FloatLiteral:
-  case Expr::Kind::DeclRef:
-    return;
-  case Expr::Kind::Unary:
-    forEachSubexprPruned(cast<UnaryExpr>(E)->Sub, Fn);
-    return;
-  case Expr::Kind::Binary: {
-    const auto *B = cast<BinaryExpr>(E);
-    forEachSubexprPruned(B->LHS, Fn);
-    forEachSubexprPruned(B->RHS, Fn);
-    return;
-  }
-  case Expr::Kind::Conditional: {
-    const auto *C = cast<ConditionalExpr>(E);
-    forEachSubexprPruned(C->Cond, Fn);
-    forEachSubexprPruned(C->Then, Fn);
-    forEachSubexprPruned(C->Else, Fn);
-    return;
-  }
-  case Expr::Kind::Call:
-    for (const Expr *Arg : cast<CallExpr>(E)->Args)
-      forEachSubexprPruned(Arg, Fn);
-    return;
-  case Expr::Kind::Index: {
-    const auto *I = cast<IndexExpr>(E);
-    forEachSubexprPruned(I->Base, Fn);
-    forEachSubexprPruned(I->Idx, Fn);
-    return;
-  }
-  case Expr::Kind::Cast:
-    forEachSubexprPruned(cast<CastExpr>(E)->Sub, Fn);
-    return;
-  case Expr::Kind::Paren:
-    forEachSubexprPruned(cast<ParenExpr>(E)->Sub, Fn);
-    return;
-  }
+  if (E && Fn(E))
+    forEachSubexpr(E, [&](const Expr *Sub) { forEachSubexprPruned(Sub, Fn); });
 }
 
 OptFunctionInfo igen::analyzeFunctionForOpt(const FunctionDecl &F,

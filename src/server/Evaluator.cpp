@@ -4,35 +4,32 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Bit-identity contract: every rule here is the runtime image of the
-// corresponding `-O0 --target=ss` emission in
-// transform/IntervalTransform.cpp (cross-referenced per case below).
-// The transform's compile-time constant folding needs no mirroring: it
-// evaluates the same pure interval ops under FE_UPWARD that we execute
-// here, and %.17g materialization round-trips, so folded and
-// interpreted constants carry identical bits.
+// Bit-identity contract: this walker executes the `-O0 --target=ss`
+// emission of transform/IntervalTransform.cpp operation for operation.
+// The decisions both back ends must share are made once, at compile
+// time, by transform/LoweringRules.h and read here from the AST:
+// literal enclosures (FloatLiteralExpr::Enc), tolerance widening
+// (VarDecl::TolUp), join safety and targets (IfStmt::JoinTargets),
+// math callees (CallExpr::Math), user callees (CallExpr::Fn), reduction
+// sites (ForStmt::Reductions, ExprStmt::Reduction) and frame slots
+// (VarDecl::Slot, FunctionDecl::NumSlots). The emitter's compile-time
+// constant folding needs no mirroring: it evaluates the same pure
+// interval ops under FE_UPWARD that run here, and %.17g materialization
+// round-trips, so folded and interpreted constants carry identical bits.
 //
 //===----------------------------------------------------------------------===//
 
 #include "server/Evaluator.h"
 
-#include "analysis/ReductionAnalysis.h"
 #include "frontend/AST.h"
 #include "frontend/Sema.h"
 #include "interval/Accumulator.h"
-#include "interval/DecimalFp.h"
 #include "interval/Elementary.h"
 #include "interval/Interval32.h"
 #include "interval/TBool.h"
-#include "interval/Ulp.h"
-#include "support/Diagnostics.h"
+#include "transform/LoweringRules.h"
 
-#include <cmath>
 #include <cstdint>
-#include <deque>
-#include <map>
-#include <set>
-#include <unordered_map>
 
 using namespace igen;
 using namespace igen::server;
@@ -109,10 +106,15 @@ struct LValue {
   Interval *Element = nullptr; ///< bounds-checked array element
 };
 
+/// One call's storage. Slots (one per parameter and local, indexed by
+/// VarDecl::Slot) and, with reductions on, Accs (one per reduction site,
+/// indexed by ReductionSite::Index) are sized at entry and never
+/// resized, so AddrOf pointers stay valid. LocalArrays grows, but moving
+/// an element vector keeps its buffer.
 struct Frame {
-  std::unordered_map<const VarDecl *, Value *> Slots;
-  std::deque<Value> Storage; ///< stable addresses for AddrOf
-  std::deque<std::vector<Interval>> LocalArrays;
+  std::vector<Value> Slots;
+  std::vector<SumAccumulatorF64> Accs;
+  std::vector<std::vector<Interval>> LocalArrays;
 };
 
 class Interp {
@@ -131,16 +133,6 @@ private:
   const EvalOptions &Opts;
   unsigned long long Steps = 0;
   unsigned Depth = 0;
-  /// Reduction sites are a per-function static analysis; cache them so
-  /// recursive calls do not re-run the pass per invocation.
-  std::map<const FunctionDecl *, ReductionAnalysisResult> ReductionCache;
-  /// Active accumulator feeds (transform: UpdateToAcc), keyed by the
-  /// update statement. A stack because loops nest and functions recurse.
-  struct AccEntry {
-    const ReductionSite *Site;
-    SumAccumulatorF64 *Acc;
-  };
-  std::map<const ExprStmt *, std::vector<AccEntry>> UpdateToAcc;
 
   /// Amortization interval for wall-clock deadline polls: frequent
   /// enough that a hung loop is cancelled within microseconds of the
@@ -171,28 +163,10 @@ private:
       checkDeadlineNow();
   }
 
-  const FunctionDecl *findDefined(const std::string &Name) const {
-    for (const TopLevelItem &Item : Prog.Ast->TU.Items)
-      if (Item.Function && Item.Function->Body &&
-          Item.Function->Name == Name)
-        return Item.Function;
-    return nullptr;
-  }
+  // --- value categories ---
 
-  const ReductionAnalysisResult &reductionsFor(const FunctionDecl *F) {
-    auto It = ReductionCache.find(F);
-    if (It != ReductionCache.end())
-      return It->second;
-    DiagnosticsEngine Scratch;
-    auto *MutF = const_cast<FunctionDecl *>(F);
-    return ReductionCache.emplace(F, analyzeReductions(MutF, Scratch))
-        .first->second;
-  }
-
-  // --- category helpers (transform: Cat / asInterval / asTBool) ---
-
-  /// Static mirror of the transform's TBool category: float comparisons,
-  /// logical ops over them, and their negations.
+  /// The emitter's TBool category: float comparisons, logical ops over
+  /// them, and their negations.
   static bool isTBoolExpr(const Expr *E);
 
   Interval asInterval(const Value &V) {
@@ -200,7 +174,7 @@ private:
     case Value::K::Iv:
       return V.V;
     case Value::K::Int:
-      // transform asInterval: ia_cst_f64((double)(i))
+      // ia_cst_f64((double)(i))
       return Interval::fromPoint(static_cast<double>(V.I));
     case Value::K::TB:
       fail("unsupported", "cannot use a comparison result as a value");
@@ -241,16 +215,6 @@ private:
     return P.Base[At];
   }
 
-  Value *slotFor(Frame &F, const VarDecl *D) {
-    auto It = F.Slots.find(D);
-    if (It != F.Slots.end())
-      return It->second;
-    F.Storage.emplace_back();
-    Value *S = &F.Storage.back();
-    F.Slots[D] = S;
-    return S;
-  }
-
   // --- expressions ---
 
   Value evalExpr(const Expr *E, Frame &F);
@@ -267,18 +231,10 @@ private:
   Flow execStmt(const Stmt *S, Frame &F);
   Flow execCompound(const CompoundStmt *S, Frame &F);
   Flow execIf(const IfStmt *S, Frame &F);
-  Flow execFor(const ForStmt *S, Frame &F, const FunctionDecl *Fn);
+  Flow execFor(const ForStmt *S, Frame &F);
   void execDecl(const VarDecl *D, Frame &F);
 
-  // transform: collectJoinTargets / collectAssignTargetsInExpr
-  static bool collectAssignTargets(const Expr *E,
-                                   std::set<const VarDecl *> &Targets);
-  static bool collectJoinTargets(const Stmt *S,
-                                 std::set<const VarDecl *> &Targets);
-
   Value callFunction(const FunctionDecl *Fn, std::vector<Value> Args);
-
-  const FunctionDecl *CurFn = nullptr;
 };
 
 bool Interp::isTBoolExpr(const Expr *E) {
@@ -313,30 +269,14 @@ Value Interp::evalExpr(const Expr *E, Frame &F) {
   switch (E->kind()) {
   case Expr::Kind::IntLiteral:
     return Value::makeInt(cast<IntLiteralExpr>(E)->Value);
-  case Expr::Kind::FloatLiteral: {
-    const auto *FL = cast<FloatLiteralExpr>(E);
-    if (FL->IsTolerance) {
-      // transform FloatLiteral/IsTolerance: [-t, t] via the decimal
-      // enclosure's outer hull.
-      DdInterval Enc = ddIntervalFromDecimal(FL->Spelling);
-      Interval Hull = Enc.outerHull();
-      return Value::makeIv(Interval(Hull.Hi, Hull.Hi));
-    }
-    double V = FL->Value;
-    if (V == std::trunc(V) && std::fabs(V) < 0x1p53)
-      return Value::makeIv(Interval::fromPoint(V));
-    return Value::makeIv(Interval::fromEndpoints(nextDown(V), nextUp(V)));
-  }
+  case Expr::Kind::FloatLiteral:
+    return Value::makeIv(cast<FloatLiteralExpr>(E)->Enc->F64);
   case Expr::Kind::DeclRef: {
     const auto *Ref = cast<DeclRefExpr>(E);
     if (!Ref->Decl)
       fail("unsupported", "reference to undeclared name '" + Ref->Name +
                               "'");
-    auto It = F.Slots.find(Ref->Decl);
-    if (It == F.Slots.end())
-      fail("unsupported",
-           "read of uninitialized variable '" + Ref->Name + "'");
-    return *It->second;
+    return F.Slots[Ref->Decl->Slot];
   }
   case Expr::Kind::Paren:
     return evalExpr(cast<ParenExpr>(E)->Sub, F);
@@ -446,7 +386,7 @@ Value Interp::evalUnary(const UnaryExpr *U, Frame &F) {
 
 Value Interp::evalBinary(const BinaryExpr *B, Frame &F) {
   if (B->isAssignment()) {
-    // transform transformBinary/assignment: lvalue first, then RHS.
+    // Lvalue first, then RHS, as the emitted assignment.
     LValue L = evalLValue(B->LHS, F);
     Value RHS = evalExpr(B->RHS, F);
     bool IntervalTarget =
@@ -507,7 +447,7 @@ Value Interp::evalBinary(const BinaryExpr *B, Frame &F) {
     Value L = evalExpr(B->LHS, F);
     Value R = evalExpr(B->RHS, F);
     if (!FloatOp) {
-      // Pointer arithmetic stays plain C (transform leaves it alone).
+      // Pointer arithmetic stays plain C.
       if (L.Kind == Value::K::Ptr && R.Kind == Value::K::Int &&
           (B->O == BinaryExpr::Op::Add || B->O == BinaryExpr::Op::Sub)) {
         PtrVal P = L.P;
@@ -643,40 +583,33 @@ Value Interp::evalCall(const CallExpr *C, Frame &F) {
   CalleeKind CK = classifyCallee(C->Callee);
 
   if (CK == CalleeKind::MathFunction) {
-    // transform transformCall: strip the f suffix, canonicalize names.
-    std::string Base = C->Callee;
-    if (!Base.empty() && Base.back() == 'f' && Base != "fabsf")
-      Base.pop_back();
-    if (Base == "fabsf" || Base == "fabs")
-      Base = "abs";
-    if (Base == "fmin")
-      Base = "min";
-    if (Base == "fmax")
-      Base = "max";
-    if (C->Args.empty() ||
-        ((Base == "min" || Base == "max") && C->Args.size() < 2))
+    if (C->Args.size() < mathOpArity(C->Math))
       fail("bad-argument",
            "wrong number of arguments to '" + C->Callee + "'");
     Interval Arg = asInterval(evalExpr(C->Args[0], F));
-    if (Base == "min" || Base == "max") {
-      Interval Arg2 = asInterval(evalExpr(C->Args[1], F));
-      return Value::makeIv(Base == "min" ? iMin(Arg, Arg2)
-                                         : iMax(Arg, Arg2));
-    }
     // -O0 semantics: always the libm-backed kernels, never the _fast
     // polynomial variants (those are -O1 rewrites).
-    if (Base == "sqrt") return Value::makeIv(iSqrt(Arg));
-    if (Base == "abs") return Value::makeIv(iAbs(Arg));
-    if (Base == "floor") return Value::makeIv(iFloor(Arg));
-    if (Base == "ceil") return Value::makeIv(iCeil(Arg));
-    if (Base == "exp") return Value::makeIv(iExp(Arg));
-    if (Base == "log") return Value::makeIv(iLog(Arg));
-    if (Base == "sin") return Value::makeIv(iSin(Arg));
-    if (Base == "cos") return Value::makeIv(iCos(Arg));
-    if (Base == "tan") return Value::makeIv(iTan(Arg));
-    if (Base == "atan") return Value::makeIv(iAtan(Arg));
-    if (Base == "asin") return Value::makeIv(iAsin(Arg));
-    if (Base == "acos") return Value::makeIv(iAcos(Arg));
+    switch (C->Math) {
+    case MathOp::Min:
+    case MathOp::Max: {
+      Interval Arg2 = asInterval(evalExpr(C->Args[1], F));
+      return Value::makeIv(C->Math == MathOp::Min ? iMin(Arg, Arg2)
+                                                  : iMax(Arg, Arg2));
+    }
+    case MathOp::Sqrt: return Value::makeIv(iSqrt(Arg));
+    case MathOp::Abs: return Value::makeIv(iAbs(Arg));
+    case MathOp::Floor: return Value::makeIv(iFloor(Arg));
+    case MathOp::Ceil: return Value::makeIv(iCeil(Arg));
+    case MathOp::Exp: return Value::makeIv(iExp(Arg));
+    case MathOp::Log: return Value::makeIv(iLog(Arg));
+    case MathOp::Sin: return Value::makeIv(iSin(Arg));
+    case MathOp::Cos: return Value::makeIv(iCos(Arg));
+    case MathOp::Tan: return Value::makeIv(iTan(Arg));
+    case MathOp::Atan: return Value::makeIv(iAtan(Arg));
+    case MathOp::Asin: return Value::makeIv(iAsin(Arg));
+    case MathOp::Acos: return Value::makeIv(iAcos(Arg));
+    case MathOp::None: break;
+    }
     fail("unsupported",
          "math function '" + C->Callee + "' has no interval kernel");
   }
@@ -688,8 +621,8 @@ Value Interp::evalCall(const CallExpr *C, Frame &F) {
   if (CK == CalleeKind::Allocation)
     fail("unsupported", "allocation calls are not supported by eval");
 
-  const FunctionDecl *Callee = findDefined(C->Callee);
-  if (!Callee)
+  const FunctionDecl *Callee = C->Fn;
+  if (!Callee || !Callee->Body)
     fail("unsupported", "call to external function '" + C->Callee +
                             "' cannot be evaluated in-process");
   if (Callee->Params.size() != C->Args.size())
@@ -716,7 +649,7 @@ LValue Interp::evalLValue(const Expr *E, Frame &F) {
       fail("unsupported", "assignment to undeclared name");
     LValue L;
     L.Kind = LValue::K::Slot;
-    L.Slot = slotFor(F, Ref->Decl);
+    L.Slot = &F.Slots[Ref->Decl->Slot];
     return L;
   }
   case Expr::Kind::Index: {
@@ -775,7 +708,7 @@ void Interp::storeLValue(const LValue &L, const Value &V) {
 // --- statements ---
 
 void Interp::execDecl(const VarDecl *D, Frame &F) {
-  Value *S = slotFor(F, D);
+  Value *S = &F.Slots[D->Slot];
   if (D->Ty->isArray()) {
     const Type *Elem = D->Ty->element();
     if (!Elem->isFloating() || Elem->isArray())
@@ -813,44 +746,6 @@ void Interp::execDecl(const VarDecl *D, Frame &F) {
   }
 }
 
-bool Interp::collectAssignTargets(const Expr *E,
-                                  std::set<const VarDecl *> &Targets) {
-  const auto *B = dynCast<BinaryExpr>(ignoreParens(E));
-  if (!B)
-    return !dynCast<CallExpr>(ignoreParens(E)); // calls may have effects
-  if (!B->isAssignment())
-    return true;
-  const auto *Ref = dynCast<DeclRefExpr>(ignoreParens(B->LHS));
-  if (!Ref || !Ref->Decl)
-    return false; // array/pointer stores: join unsupported (paper)
-  if (!Ref->Decl->Ty->isFloating())
-    return false; // integer or vector variables: unsupported
-  Targets.insert(Ref->Decl);
-  return collectAssignTargets(B->RHS, Targets);
-}
-
-bool Interp::collectJoinTargets(const Stmt *S,
-                                std::set<const VarDecl *> &Targets) {
-  switch (S->kind()) {
-  case Stmt::Kind::Compound:
-    for (const Stmt *Child : cast<CompoundStmt>(S)->Body)
-      if (!collectJoinTargets(Child, Targets))
-        return false;
-    return true;
-  case Stmt::Kind::ExprStmt:
-    return collectAssignTargets(cast<ExprStmt>(S)->E, Targets);
-  case Stmt::Kind::If: {
-    const auto *If = cast<IfStmt>(S);
-    return collectJoinTargets(If->Then, Targets) &&
-           (!If->Else || collectJoinTargets(If->Else, Targets));
-  }
-  case Stmt::Kind::Null:
-    return true;
-  default:
-    return false; // loops, returns, declarations: bail out
-  }
-}
-
 Flow Interp::execIf(const IfStmt *S, Frame &F) {
   if (!isTBoolExpr(S->Cond)) {
     Value Cond = evalExpr(S->Cond, F);
@@ -862,11 +757,8 @@ Flow Interp::execIf(const IfStmt *S, Frame &F) {
   }
 
   TBool Cond = asTBool(evalExpr(S->Cond, F));
-  std::set<const VarDecl *> Targets;
-  bool JoinSafe = Opts.JoinBranches && collectJoinTargets(S->Then, Targets) &&
-                  (!S->Else || collectJoinTargets(S->Else, Targets));
-  if (!JoinSafe) {
-    // Exception policy (transform: ia_cvt2bool_tb, may signal).
+  if (!Opts.JoinBranches || !S->JoinSafe) {
+    // Exception policy: ia_cvt2bool_tb, which may signal.
     if (Cond == TBool::Unknown)
       fail("unknown-branch", "interval branch condition is unknown");
     if (Cond == TBool::True)
@@ -876,8 +768,8 @@ Flow Interp::execIf(const IfStmt *S, Frame &F) {
     return Flow();
   }
 
-  // Join mode (transform emitIf): run both branches on the unknown
-  // state and hull the results.
+  // Join mode: run both branches on the unknown state and hull the
+  // results.
   if (Cond == TBool::True)
     return execStmt(S->Then, F);
   if (Cond == TBool::False) {
@@ -885,30 +777,28 @@ Flow Interp::execIf(const IfStmt *S, Frame &F) {
       return execStmt(S->Else, F);
     return Flow();
   }
-  std::map<const VarDecl *, Interval> Saved, ThenRes;
-  for (const VarDecl *V : Targets) {
-    Value *Slot = slotFor(F, V);
-    if (Slot->Kind != Value::K::Iv)
+  // Saved holds the entry state, then (swapped) the Then results.
+  std::vector<Interval> Saved;
+  Saved.reserve(S->JoinTargets.size());
+  for (const VarDecl *V : S->JoinTargets) {
+    const Value &Slot = F.Slots[V->Slot];
+    if (Slot.Kind != Value::K::Iv)
       fail("unsupported", "join target is not an initialized interval");
-    Saved.emplace(V, Slot->V);
+    Saved.push_back(Slot.V);
   }
-  Flow Fl = execStmt(S->Then, F); // join-safe bodies cannot break/return
-  (void)Fl;
-  for (const VarDecl *V : Targets) {
-    Value *Slot = slotFor(F, V);
-    ThenRes.emplace(V, Slot->V);
-    Slot->V = Saved.at(V);
-  }
+  execStmt(S->Then, F); // join-safe bodies cannot break/return
+  for (size_t I = 0; I < Saved.size(); ++I)
+    std::swap(F.Slots[S->JoinTargets[I]->Slot].V, Saved[I]);
   if (S->Else)
     execStmt(S->Else, F);
-  for (const VarDecl *V : Targets) {
-    Value *Slot = slotFor(F, V);
-    Slot->V = iHull(Slot->V, ThenRes.at(V));
+  for (size_t I = 0; I < Saved.size(); ++I) {
+    Interval &V = F.Slots[S->JoinTargets[I]->Slot].V;
+    V = iHull(V, Saved[I]);
   }
   return Flow();
 }
 
-Flow Interp::execFor(const ForStmt *S, Frame &F, const FunctionDecl *Fn) {
+Flow Interp::execFor(const ForStmt *S, Frame &F) {
   if (S->Init) {
     if (const auto *DS = dynCast<DeclStmt>(S->Init)) {
       for (const VarDecl *D : DS->Decls)
@@ -918,28 +808,14 @@ Flow Interp::execFor(const ForStmt *S, Frame &F, const FunctionDecl *Fn) {
     }
   }
 
-  // Reduction accumulators (transform emitFor): initialize with the
-  // current target enclosure before the loop, feed terms at the update
-  // statement, finalize after the loop.
-  std::vector<const ReductionSite *> Sites;
-  if (Opts.EnableReductions)
-    Sites = reductionsFor(Fn).sitesForLoop(S);
-  std::deque<SumAccumulatorF64> Accs;
-  for (const ReductionSite *Site : Sites) {
-    Accs.emplace_back();
-    Accs.back().init(asInterval(evalExpr(Site->Target, F)));
-    UpdateToAcc[Site->Update].push_back({Site, &Accs.back()});
-  }
-  auto PopFeeds = [&] {
-    for (const ReductionSite *Site : Sites) {
-      auto &Vec = UpdateToAcc[Site->Update];
-      Vec.pop_back();
-      if (Vec.empty())
-        UpdateToAcc.erase(Site->Update);
-    }
-  };
+  // Reduction accumulators: initialize with the current target
+  // enclosure before the loop, feed terms at the update statement,
+  // finalize after the loop.
+  const bool Reduce = Opts.EnableReductions && !S->Reductions.empty();
+  if (Reduce)
+    for (const ReductionSite *Site : S->Reductions)
+      F.Accs[Site->Index].init(asInterval(evalExpr(Site->Target, F)));
 
-  Flow Out;
   while (true) {
     step();
     if (S->Cond) {
@@ -948,23 +824,20 @@ Flow Interp::execFor(const ForStmt *S, Frame &F, const FunctionDecl *Fn) {
         break;
     }
     Flow Fl = execStmt(S->Body, F);
-    if (Fl.Kind == Flow::K::Return) {
-      // A return inside the loop skips the reduce finalization, exactly
-      // as the emitted code jumps past the post-loop assignment.
-      PopFeeds();
+    // A return inside the loop skips the reduce finalization, exactly
+    // as the emitted code jumps past the post-loop assignment.
+    if (Fl.Kind == Flow::K::Return)
       return Fl;
-    }
     if (Fl.Kind == Flow::K::Break)
       break;
     if (S->Inc)
       evalExpr(S->Inc, F);
   }
-  PopFeeds();
-  for (size_t I = 0; I < Sites.size(); ++I) {
-    LValue L = evalLValue(Sites[I]->Target, F);
-    storeLValue(L, Value::makeIv(Accs[I].reduce()));
-  }
-  return Out;
+  if (Reduce)
+    for (const ReductionSite *Site : S->Reductions)
+      storeLValue(evalLValue(Site->Target, F),
+                  Value::makeIv(F.Accs[Site->Index].reduce()));
+  return Flow();
 }
 
 Flow Interp::execCompound(const CompoundStmt *S, Frame &F) {
@@ -987,16 +860,16 @@ Flow Interp::execStmt(const Stmt *S, Frame &F) {
     return Flow();
   case Stmt::Kind::ExprStmt: {
     const auto *ES = cast<ExprStmt>(S);
-    auto It = UpdateToAcc.find(ES);
-    if (It != UpdateToAcc.end() && !It->second.empty()) {
+    if (ES->Reduction && Opts.EnableReductions) {
       // Reduction update: feed each term into the accumulator instead
-      // of executing the assignment (transform emitExprStmt).
-      const AccEntry &E = It->second.back();
-      for (const ReductionTerm &T : E.Site->Terms) {
+      // of executing the assignment. The update only runs inside its
+      // accumulation loop, which initialized the accumulator.
+      SumAccumulatorF64 &Acc = F.Accs[ES->Reduction->Index];
+      for (const ReductionTerm &T : ES->Reduction->Terms) {
         Interval Term = asInterval(evalExpr(T.Term, F));
         if (T.Negated)
           Term = iNeg(Term);
-        E.Acc->accumulate(Term);
+        Acc.accumulate(Term);
       }
       return Flow();
     }
@@ -1006,7 +879,7 @@ Flow Interp::execStmt(const Stmt *S, Frame &F) {
   case Stmt::Kind::If:
     return execIf(cast<IfStmt>(S), F);
   case Stmt::Kind::For:
-    return execFor(cast<ForStmt>(S), F, CurFn);
+    return execFor(cast<ForStmt>(S), F);
   case Stmt::Kind::While: {
     const auto *W = cast<WhileStmt>(S);
     while (true) {
@@ -1076,37 +949,32 @@ Value Interp::callFunction(const FunctionDecl *Fn, std::vector<Value> Args) {
     CallsSincePoll = 0;
     checkDeadlineNow();
   }
-  const FunctionDecl *PrevFn = CurFn;
-  CurFn = Fn;
-
-  Frame F;
-  // Harden prologue (transform emitFunctionImpl): a dirty FP
-  // environment on entry poisons an interval-returning function to the
-  // whole line. The serve layer already repaired the environment; we
-  // only honor the verdict here, and only at the outermost frame
-  // (callees run under the now-sound environment, like AOT code whose
-  // igen_fenv_check repaired on the way in).
+  // Harden prologue: a dirty FP environment on entry poisons an
+  // interval-returning function to the whole line. The serve layer
+  // already repaired the environment; we only honor the verdict here,
+  // and only at the outermost frame (callees run under the now-sound
+  // environment, like AOT code whose igen_fenv_check repaired on the
+  // way in).
   if (Opts.PoisonedEntry && Depth == 1 && Fn->RetTy->isFloating()) {
     --Depth;
-    CurFn = PrevFn;
     return Value::makeIv(Interval::entire());
   }
 
+  Frame F;
+  F.Slots.resize(Fn->NumSlots);
+  if (Opts.EnableReductions)
+    F.Accs.resize(Fn->Lowering->Reductions.Sites.size());
   for (size_t I = 0; I < Fn->Params.size(); ++I) {
     const VarDecl *P = Fn->Params[I];
-    Value *S = slotFor(F, P);
+    Value *S = &F.Slots[P->Slot];
     Value &A = Args[I];
     if (P->HasTolerance) {
-      // Tolerance shadow (transform: _a = ia_set_tol(a, TolUp)). All
-      // body references resolve through Renames to the shadow, so the
-      // slot holds the widened interval directly.
+      // The emitted body only reads the shadow _a = ia_set_tol(a, TolUp),
+      // so the slot holds the widened interval directly.
       if (A.Kind != Value::K::Iv || !A.V.isPoint())
         fail("bad-argument", "tolerance parameter '" + P->Name +
                                  "' takes a point value");
-      DdInterval TolEnc = ddIntervalFromDecimal(P->ToleranceSpelling);
-      double TolUp =
-          TolEnc.hasNaN() ? P->Tolerance : ddToDoubleUp(TolEnc.Hi);
-      *S = Value::makeIv(iSetTol(A.V.Hi, TolUp));
+      *S = Value::makeIv(iSetTol(A.V.Hi, P->TolUp));
       continue;
     }
     if (P->Ty->isSimdVector())
@@ -1134,7 +1002,6 @@ Value Interp::callFunction(const FunctionDecl *Fn, std::vector<Value> Args) {
 
   Flow Fl = execCompound(Fn->Body, F);
   --Depth;
-  CurFn = PrevFn;
 
   if (Fl.Kind == Flow::K::Return && Fl.HasRet)
     return Fl.Ret;
@@ -1150,8 +1017,8 @@ EvalResult Interp::run(const std::string &Function,
                        const std::vector<EvalArg> &Args) {
   EvalResult R;
   try {
-    const FunctionDecl *Fn = findDefined(Function);
-    if (!Fn)
+    const FunctionDecl *Fn = Prog.Ast->TU.findFunction(Function);
+    if (!Fn || !Fn->Body)
       fail("no-such-function",
            "no defined function '" + Function + "' in this program");
     if (Fn->Params.size() != Args.size())
@@ -1232,40 +1099,4 @@ EvalResult igen::server::evalFunction(const InMemoryProgram &Prog,
     return R;
   }
   return Interp(Prog, Opts).run(Function, Args);
-}
-
-bool igen::server::describeFunction(const InMemoryProgram &Prog,
-                                    const std::string &Function,
-                                    std::vector<std::string> &ParamKinds,
-                                    std::string &ReturnKind) {
-  ParamKinds.clear();
-  ReturnKind.clear();
-  if (!Prog.Ast)
-    return false;
-  for (const TopLevelItem &Item : Prog.Ast->TU.Items) {
-    if (!Item.Function || !Item.Function->Body ||
-        Item.Function->Name != Function)
-      continue;
-    const FunctionDecl *Fn = Item.Function;
-    for (const VarDecl *P : Fn->Params) {
-      if (P->HasTolerance)
-        ParamKinds.push_back("tolerance:" + P->ToleranceSpelling);
-      else if (P->Ty->isFloating())
-        ParamKinds.push_back("interval");
-      else if (P->Ty->isInteger())
-        ParamKinds.push_back("int");
-      else if (P->Ty->isPointer() || P->Ty->isArray())
-        ParamKinds.push_back("array");
-      else
-        ParamKinds.push_back("unsupported");
-    }
-    if (Fn->RetTy->isFloating())
-      ReturnKind = "interval";
-    else if (Fn->RetTy->isInteger())
-      ReturnKind = "int";
-    else
-      ReturnKind = "void";
-    return true;
-  }
-  return false;
 }

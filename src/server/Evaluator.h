@@ -7,15 +7,17 @@
 /// \file
 /// The serve-mode execution tier: interprets a type-checked IGen AST
 /// directly against src/interval/, with no C compiler round-trip. The
-/// interpreter mirrors the *naive* translation — what the transform
+/// interpreter executes the *naive* translation — what the transform
 /// emits at `-O0 --target=ss` — operation for operation: every float
-/// expression is an igen::Interval, every float comparison a TBool,
-/// constants get the same enclosure rules (Section IV-B), tolerance
-/// parameters the same upward-widened shadow, reductions the same
-/// SumAccumulatorF64 feeds, and the join branch policy the same
-/// save/run/restore/hull sequence. Because both paths compose the same
-/// pure interval operations in the same order under FE_UPWARD, eval
-/// results are bit-identical to AOT-compiled `-O0 --target=ss` output
+/// expression is an igen::Interval, every float comparison a TBool.
+/// It makes no lowering decision of its own: constant enclosures
+/// (Section IV-B), the upward-widened tolerance shadows (IV-C), join
+/// safety and targets, math callees and reduction sites (VI-B) come
+/// from transform/LoweringRules.h, computed once per program at compile
+/// time and stored on the AST together with Sema's callee and frame-slot
+/// resolution. Because both paths compose the same pure interval
+/// operations in the same order under FE_UPWARD, eval results are
+/// bit-identical to AOT-compiled `-O0 --target=ss` output
 /// (ExecServeCompareTest pins this).
 ///
 /// The -O1 rewrites (sign-specialized mul/div, FMA fusion, CSE/hoist,
@@ -127,13 +129,6 @@ EvalResult evalFunction(const InMemoryProgram &Prog,
                         const std::string &Function,
                         const std::vector<EvalArg> &Args,
                         const EvalOptions &Opts);
-
-/// Signature probe used for argument marshalling and error messages:
-/// describes parameter kinds of \p Function ("interval", "int", "array",
-/// "tolerance:<spelling>"), or empty + false if not defined.
-bool describeFunction(const InMemoryProgram &Prog, const std::string &Function,
-                      std::vector<std::string> &ParamKinds,
-                      std::string &ReturnKind);
 
 } // namespace server
 } // namespace igen

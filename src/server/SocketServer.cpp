@@ -37,11 +37,14 @@ using namespace igen::server;
 namespace {
 
 /// SIGTERM/SIGINT land here; the reactor polls this flag every 50 ms
-/// and turns it into a graceful drain. sig_atomic_t is the only thing
-/// a handler may touch.
-volatile std::sig_atomic_t DrainRequested = 0;
+/// and turns it into a graceful drain. The signal may be taken on any
+/// thread while the reactor reads the flag, so it must be an atomic; a
+/// lock-free one is also safe to store from a signal handler.
+std::atomic<bool> DrainRequested{false};
+static_assert(std::atomic<bool>::is_always_lock_free,
+              "the drain flag is set from a signal handler");
 
-extern "C" void onDrainSignal(int) { DrainRequested = 1; }
+extern "C" void onDrainSignal(int) { DrainRequested.store(true); }
 
 /// One accepted client. Workers may outlive the reactor's interest in
 /// the fd (a frame can still be in flight when the peer disconnects),
@@ -239,7 +242,7 @@ private:
   /// completes — and becomes a shutdown — when all in-flight work
   /// finishes or IGEN_SERVE_DRAIN_MS runs out, whichever is first.
   void pollDrain() {
-    if (DrainRequested && !Core.draining()) {
+    if (DrainRequested.load() && !Core.draining()) {
       Core.beginDrain();
       DrainDeadline =
           std::chrono::steady_clock::now() +
@@ -432,7 +435,7 @@ int igen::server::runServer(const ServeConfig &Config) {
   // (and future code paths). SIGTERM/SIGINT start a graceful drain
   // instead of killing the process with responses half-written.
   ::signal(SIGPIPE, SIG_IGN);
-  DrainRequested = 0;
+  DrainRequested.store(false);
   struct sigaction Sa{};
   Sa.sa_handler = onDrainSignal;
   ::sigemptyset(&Sa.sa_mask);

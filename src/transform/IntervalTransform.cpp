@@ -11,11 +11,10 @@
 #include "interval/DdInterval.h"
 #include "opt/Movability.h"
 #include "opt/OptAnalysis.h"
-#include "interval/DecimalFp.h"
 #include "interval/Interval.h"
 #include "interval/Rounding.h"
-#include "interval/Ulp.h"
 #include "support/StringExtras.h"
+#include "transform/LoweringRules.h"
 
 #include <cmath>
 #include <cstdlib>
@@ -583,13 +582,6 @@ private:
   void emitFunction(FunctionDecl *F);
   void emitFunctionImpl(FunctionDecl *F, const std::string &EmitName);
 
-  // Join-mode branch support: collects scalar interval variables assigned
-  // within \p S; returns false if the branch does anything the join
-  // transformation cannot handle (Section IV-B).
-  bool collectJoinTargets(const Stmt *S, std::set<VarDecl *> &Targets);
-  bool collectAssignTargetsInExpr(const Expr *E,
-                                  std::set<VarDecl *> &Targets);
-
   void line(const std::string &Text) {
     Body += std::string(Indent * 2, ' ');
     Body += Text;
@@ -674,9 +666,9 @@ private:
   int AccCounter = 0;
   bool UsedGeneratedIntrinsics = false;
   std::map<const VarDecl *, std::string> Renames;
-  ReductionAnalysisResult Reductions;
-  std::map<const Stmt *, std::pair<const ReductionSite *, std::string>>
-      UpdateToAcc;
+  /// Accumulator of each reduction site whose loop is being emitted,
+  /// by ReductionSite::Index ("" outside that loop).
+  std::vector<std::string> AccOf;
 
   // Profiling state (per translation unit).
   ProfileSiteTable SiteTable;
@@ -688,10 +680,10 @@ private:
   bool TierMovable = true;
   std::string TierCloneCall; ///< "<name>__dd(<snapshotted args>)"
 
-  /// Functions *defined* in this TU (for --harden: calls to these need
-  /// no post-call fenv guard, their own prologue re-checks; calls to
-  /// declared-only externals do).
-  std::set<std::string> DefinedFns;
+  /// --harden: calls to functions *defined* in this TU need no post-call
+  /// fenv guard, their own prologue re-checks; calls to declared-only
+  /// externals do.
+  static bool definedHere(const CallExpr *C) { return C->Fn && C->Fn->Body; }
 
   // Mid-end optimizer state (per function).
   OptFunctionInfo OptInfo;
@@ -778,29 +770,11 @@ TR Transformer::transformExpr(const Expr *E) {
     return R;
   }
   case Expr::Kind::FloatLiteral: {
-    const auto *F = cast<FloatLiteralExpr>(E);
+    const LiteralEnclosure &Enc = *cast<FloatLiteralExpr>(E)->Enc;
+    // Literals (like folded constants) print their %.17g digits rounded
+    // upward; either way the digits read back as the same doubles.
     RoundUpwardScope Up;
-    if (F->IsTolerance) {
-      // 0.25t denotes the interval [-t, t] around zero (Section IV-C).
-      DdInterval Enc = ddIntervalFromDecimal(F->Spelling);
-      DdInterval DdI(Enc.Hi, Enc.Hi); // stored (-lo, hi) = (hi, hi)
-      Interval Hull = Enc.outerHull();
-      Interval F64I(Hull.Hi, Hull.Hi);
-      return makeConstant(F64I, DdI, E->type());
-    }
-    // Double target follows the paper: integer-valued constants are
-    // exact, others become [prev(v), next(v)]. The double-double target
-    // uses the tight decimal enclosure.
-    double V = F->Value;
-    Interval F64I;
-    if (V == std::trunc(V) && std::fabs(V) < 0x1p53)
-      F64I = Interval::fromPoint(V);
-    else
-      F64I = Interval::fromEndpoints(nextDown(V), nextUp(V));
-    DdInterval DdI = ddIntervalFromDecimal(F->Spelling);
-    if (DdI.hasNaN())
-      DdI = DdInterval::fromPoint(V);
-    return makeConstant(F64I, DdI, E->type());
+    return makeConstant(Enc.F64, Enc.Dd, E->type());
   }
   case Expr::Kind::DeclRef: {
     const auto *Ref = cast<DeclRefExpr>(E);
@@ -1428,21 +1402,12 @@ TR Transformer::transformCall(const CallExpr *C) {
   CalleeKind CK = classifyCallee(C->Callee);
 
   if (CK == CalleeKind::MathFunction) {
-    // sinf/cosf/... promote to the double interval versions.
-    std::string Base = C->Callee;
-    if (endsWith(Base, "f") && Base != "fabsf")
-      Base.pop_back();
-    if (Base == "fabsf" || Base == "fabs")
-      Base = "abs";
-    if (Base == "fmin")
-      Base = "min";
-    if (Base == "fmax")
-      Base = "max";
     // Every math function has a double-double form: abs/sqrt/min/max are
     // native, the elementary functions fall back to the f64 kernel on the
     // interval's outer hull (sound, though no tighter than f64i).
-    if (C->Args.empty() || ((Base == "min" || Base == "max") &&
-                            C->Args.size() < 2)) {
+    const MathOp Op = C->Math;
+    std::string Base = mathOpName(Op);
+    if (C->Args.size() < mathOpArity(Op)) {
       Diags.error(C->loc(), "wrong number of arguments to '" + C->Callee +
                                 "'");
       R.C = Cat::Interval;
@@ -1451,7 +1416,7 @@ TR Transformer::transformCall(const CallExpr *C) {
     }
     TR Arg = transformExpr(C->Args[0]);
     R.C = Cat::Interval;
-    if (Base == "min" || Base == "max") {
+    if (mathOpArity(Op) == 2) {
       TR Arg2 = transformExpr(C->Args[1]);
       R.Code = prof("ia_" + Base + "_" + sfx() + "(" + asInterval(Arg) +
                         ", " + asInterval(Arg2) + ")",
@@ -1462,9 +1427,9 @@ TR Transformer::transformCall(const CallExpr *C) {
     // kernels (interval/PolyKernels.h) lower to the fast variants: no
     // rounding-mode switch per call, enclosure widened by the certified
     // bound instead of the libm ulp band. -O0 keeps the libm path.
-    static const std::set<std::string> PolyFast = {"exp", "log", "sin",
-                                                   "cos"};
-    if (optOn() && !isDd() && PolyFast.count(Base))
+    const bool PolyFast = Op == MathOp::Exp || Op == MathOp::Log ||
+                          Op == MathOp::Sin || Op == MathOp::Cos;
+    if (optOn() && !isDd() && PolyFast)
       Base += "_fast";
     R.Code = prof("ia_" + Base + "_" + sfx() + "(" + asInterval(Arg) + ")", C);
     return R;
@@ -1551,7 +1516,7 @@ TR Transformer::transformCall(const CallExpr *C) {
     // --harden: an external callee (declared, not defined here) may have
     // disturbed the FP environment. ia_fenv_guard evaluates the call
     // first, checks after, and poisons its result if required.
-    if (Opts.Harden && !DefinedFns.count(C->Callee))
+    if (Opts.Harden && !definedHere(C))
       R.Code = "ia_fenv_guard(" + R.Code + ")";
   }
   return R;
@@ -1573,11 +1538,9 @@ void Transformer::emitDecl(const VarDecl *D) {
 
 void Transformer::emitExprStmt(const ExprStmt *S) {
   // Reduction update statements become accumulator feeds (Fig. 7).
-  auto It = UpdateToAcc.find(S);
-  if (It != UpdateToAcc.end()) {
-    const ReductionSite *Site = It->second.first;
-    const std::string &Acc = It->second.second;
-    for (const ReductionTerm &T : Site->Terms) {
+  if (S->Reduction && !AccOf[S->Reduction->Index].empty()) {
+    const std::string &Acc = AccOf[S->Reduction->Index];
+    for (const ReductionTerm &T : S->Reduction->Terms) {
       TR Term = transformExpr(T.Term);
       std::string Code = asInterval(Term);
       if (T.Negated)
@@ -1592,48 +1555,9 @@ void Transformer::emitExprStmt(const ExprStmt *S) {
   if (Opts.Harden) {
     const auto *CE = dynCast<CallExpr>(ignoreParens(S->E));
     if (CE && classifyCallee(CE->Callee) == CalleeKind::UserFunction &&
-        !DefinedFns.count(CE->Callee) &&
+        !definedHere(CE) &&
         !(CE->type() && CE->type()->isFloatingOrVector()))
       line("igen_fenv_check();");
-  }
-}
-
-bool Transformer::collectAssignTargetsInExpr(const Expr *E,
-                                             std::set<VarDecl *> &Targets) {
-  const auto *B = dynCast<BinaryExpr>(ignoreParens(E));
-  if (!B)
-    return !dynCast<CallExpr>(ignoreParens(E)); // calls may have effects
-  if (!B->isAssignment())
-    return true;
-  const auto *Ref = dynCast<DeclRefExpr>(ignoreParens(B->LHS));
-  if (!Ref || !Ref->Decl)
-    return false; // array/pointer stores: join unsupported (paper)
-  const Type *Ty = Ref->Decl->Ty;
-  if (!Ty->isFloating())
-    return false; // integer or vector variables: unsupported
-  Targets.insert(Ref->Decl);
-  return collectAssignTargetsInExpr(B->RHS, Targets);
-}
-
-bool Transformer::collectJoinTargets(const Stmt *S,
-                                     std::set<VarDecl *> &Targets) {
-  switch (S->kind()) {
-  case Stmt::Kind::Compound:
-    for (const Stmt *Child : cast<CompoundStmt>(S)->Body)
-      if (!collectJoinTargets(Child, Targets))
-        return false;
-    return true;
-  case Stmt::Kind::ExprStmt:
-    return collectAssignTargetsInExpr(cast<ExprStmt>(S)->E, Targets);
-  case Stmt::Kind::If: {
-    const auto *If = cast<IfStmt>(S);
-    return collectJoinTargets(If->Then, Targets) &&
-           (!If->Else || collectJoinTargets(If->Else, Targets));
-  }
-  case Stmt::Kind::Null:
-    return true;
-  default:
-    return false; // loops, returns, declarations: bail out
   }
 }
 
@@ -1652,11 +1576,8 @@ void Transformer::emitIf(const IfStmt *S) {
   std::string Tmp = freshTemp();
   line("tbool " + Tmp + " = " + Cond.Code + ";");
 
-  std::set<VarDecl *> Targets;
-  bool JoinSafe = Opts.Branches == TransformOptions::BranchPolicy::Join &&
-                  collectJoinTargets(S->Then, Targets) &&
-                  (!S->Else || collectJoinTargets(S->Else, Targets));
-  if (!JoinSafe) {
+  if (Opts.Branches != TransformOptions::BranchPolicy::Join ||
+      !S->JoinSafe) {
     if (Opts.Branches == TransformOptions::BranchPolicy::Join)
       Diags.warning(S->loc(),
                     "cannot join this branch (arrays, integers or control "
@@ -1684,10 +1605,10 @@ void Transformer::emitIf(const IfStmt *S) {
   line("{");
   ++Indent;
   std::string Ty = scalarIntervalType();
-  for (VarDecl *V : Targets)
+  for (const VarDecl *V : S->JoinTargets)
     line(Ty + " _sav_" + V->Name + " = " + V->Name + ";");
   emitBody(S->Then);
-  for (VarDecl *V : Targets) {
+  for (const VarDecl *V : S->JoinTargets) {
     line(Ty + " _res_" + V->Name + " = " + V->Name + ";");
     line(V->Name + " = _sav_" + V->Name + ";");
   }
@@ -1695,7 +1616,7 @@ void Transformer::emitIf(const IfStmt *S) {
     emitBody(S->Else);
   else
     line("{ ; }");
-  for (VarDecl *V : Targets)
+  for (const VarDecl *V : S->JoinTargets)
     line(V->Name + " = ia_join_" + sfx() + "(" + V->Name + ", _res_" +
          V->Name + ");");
   --Indent;
@@ -1830,13 +1751,10 @@ void Transformer::emitFor(const ForStmt *S) {
 
   std::vector<const ReductionSite *> Sites;
   if (Opts.EnableReductions)
-    Sites = Reductions.sitesForLoop(S);
-
-  std::vector<std::pair<const ReductionSite *, std::string>> Accs;
+    Sites = S->Reductions;
   for (const ReductionSite *Site : Sites) {
-    std::string Acc = formatString("_acc%d", ++AccCounter);
-    Accs.push_back({Site, Acc});
-    UpdateToAcc[Site->Update] = {Site, Acc};
+    const std::string &Acc = AccOf[Site->Index] =
+        formatString("_acc%d", ++AccCounter);
     line("acc_" + sfx() + " " + Acc + ";");
     TR Target = transformExpr(Site->Target);
     line("isum_init_" + sfx() + "(&" + Acc + ", " + asInterval(Target) +
@@ -1846,12 +1764,12 @@ void Transformer::emitFor(const ForStmt *S) {
   line(forHeader(S));
   emitBody(S->Body);
 
-  for (auto &[Site, Acc] : Accs) {
-    std::string Red = "isum_reduce_" + sfx() + "(&" + Acc + ")";
+  for (const ReductionSite *Site : Sites) {
+    std::string Red = "isum_reduce_" + sfx() + "(&" + AccOf[Site->Index] + ")";
     if (cloneMemLvalue(Site->Target))
       Red = "ia_narrow_dd_f64(" + Red + ")";
     line(lvalueOf(Site->Target) + " = " + Red + ";");
-    UpdateToAcc.erase(Site->Update);
+    AccOf[Site->Index].clear();
   }
   popTemps(Hoisted);
 }
@@ -2000,11 +1918,10 @@ void Transformer::emitFunction(FunctionDecl *F) {
 void Transformer::emitFunctionImpl(FunctionDecl *F,
                                    const std::string &EmitName) {
   CurFuncName = F->Name;
-  if (Opts.EnableReductions)
-    Reductions = analyzeReductions(F, Diags);
-  else
-    Reductions = ReductionAnalysisResult();
-  UpdateToAcc.clear();
+  if (Opts.EnableReductions && F->Lowering)
+    for (const Diagnostic &W : F->Lowering->ReductionWarnings)
+      Diags.report(W.Severity, W.Loc, W.Message);
+  AccOf.assign(F->Lowering ? F->Lowering->Reductions.Sites.size() : 0, "");
   Renames.clear();
   ActiveTemps.clear();
   if (Opts.OptLevel > 0 && F->Body) {
@@ -2092,13 +2009,11 @@ void Transformer::emitFunctionImpl(FunctionDecl *F,
     if (!P->HasTolerance)
       continue;
     std::string Shadow = "_" + P->Name;
-    // _a = a +- tol (Fig. 3). The tolerance literal is widened upward.
+    // _a = a +- tol (Fig. 3), the tolerance widened upward (and, like
+    // the constants, printed rounding upward).
     RoundUpwardScope Up;
-    DdInterval TolEnc = ddIntervalFromDecimal(P->ToleranceSpelling);
-    double TolUp = TolEnc.hasNaN() ? P->Tolerance
-                                   : ddToDoubleUp(TolEnc.Hi);
     line(scalarIntervalType() + " " + Shadow + " = ia_set_tol_" + sfx() +
-         "(" + P->Name + ", " + fmtDouble(TolUp) + "); // " + P->Name +
+         "(" + P->Name + ", " + fmtDouble(P->TolUp) + "); // " + P->Name +
          " +- " + P->ToleranceSpelling);
     Renames[P] = Shadow;
   }
@@ -2116,10 +2031,7 @@ std::string Transformer::run() {
   SiteTable = ProfileSiteTable();
   SiteTable.Module = Opts.ModuleName.empty() ? "igen" : Opts.ModuleName;
   SiteTable.SourceFile = Opts.SourceName;
-  DefinedFns.clear();
-  for (const TopLevelItem &Item : Ctx.TU.Items)
-    if (Item.Function && Item.Function->Body)
-      DefinedFns.insert(Item.Function->Name);
+  annotateLowering(Ctx);
   for (const TopLevelItem &Item : Ctx.TU.Items) {
     if (!Item.Function) {
       line(Item.Directive);

@@ -8,6 +8,7 @@
 
 #include "frontend/Parser.h"
 #include "frontend/Sema.h"
+#include "transform/LoweringRules.h"
 
 using namespace igen;
 
@@ -44,6 +45,7 @@ igen::compileToProgram(std::string_view Source, const TransformOptions &Opts,
     return Fail(PipelineStage::Sema);
   if (Cancelled())
     return Fail(PipelineStage::Cancelled);
+  annotateLowering(*Prog->Ast); // facts both back ends read
   Prog->EmittedC = transformToIntervals(*Prog->Ast, Diags, Opts, SitesOut);
   if (Diags.hasErrors())
     return Fail(PipelineStage::Transform);

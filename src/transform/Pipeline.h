@@ -6,7 +6,8 @@
 ///
 /// \file
 /// Convenience entry point chaining the whole pipeline of Fig. 1:
-/// parse -> type check -> (reduction analysis) -> interval transformation.
+/// parse -> type check -> lowering facts (LoweringRules.h) -> interval
+/// transformation.
 /// Used by the igen CLI driver, the build-time kernel generation, and the
 /// integration tests.
 ///

@@ -109,4 +109,15 @@ TEST(ParserRecovery, RecoveryStopsAtCloseBrace) {
       << R.Diags.render("test");
 }
 
+TEST(ParserRecovery, TruncatedInputsStopAtEndOfFile) {
+  // Input that ends mid-declaration must be diagnosed without reading
+  // past the end-of-file token.
+  for (const char *Src : {"double f(", "double f(double x", "double",
+                          "double f(double x) {"}) {
+    ParseResult R = parse(Src);
+    EXPECT_FALSE(R.OK) << Src;
+    EXPECT_GE(errors(R), 1u) << Src;
+  }
+}
+
 } // namespace

@@ -9,6 +9,11 @@
 #include "TestHelpers.h"
 
 #include <cstdio>
+#include <cstring>
+#include <string>
+#include <thread>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 using namespace igen;
@@ -169,4 +174,34 @@ TEST_F(DecimalTest, LongDigitStrings) {
   EXPECT_TRUE(containsQ(I, quadOf(S)));
   double W = (I.Hi.H + I.NegLo.H) + (I.Hi.L + I.NegLo.L);
   EXPECT_LE(W, 0x1p-85);
+}
+
+TEST_F(DecimalTest, ConcurrentEnclosuresMatchSerial) {
+  // Compile workers convert decimal constants concurrently; each thread
+  // must get the same bits a serial conversion gets.
+  std::vector<std::string> Lits;
+  for (int E = -320; E <= 320; E += 7)
+    Lits.push_back("3.14159265358979323846e" + std::to_string(E));
+  auto enclose = [&] {
+    RoundUpwardScope ThreadUp; // the rounding mode is per thread
+    std::vector<DdInterval> Out;
+    for (int Rep = 0; Rep < 20; ++Rep)
+      for (const std::string &L : Lits)
+        Out.push_back(ddIntervalFromDecimal(L));
+    return Out;
+  };
+  // Threads first, so a shared cache would be filled concurrently.
+  std::vector<std::vector<DdInterval>> Results(8);
+  std::vector<std::thread> Workers;
+  for (auto &R : Results)
+    Workers.emplace_back([&R, &enclose] { R = enclose(); });
+  for (std::thread &W : Workers)
+    W.join();
+  const std::vector<DdInterval> Serial = enclose();
+  for (const auto &R : Results) {
+    ASSERT_EQ(R.size(), Serial.size());
+    for (size_t I = 0; I < R.size(); ++I)
+      EXPECT_EQ(std::memcmp(&R[I], &Serial[I], sizeof(DdInterval)), 0)
+          << Lits[I % Lits.size()];
+  }
 }

@@ -86,6 +86,19 @@ TEST_F(I32Test, NarrowingRoundsOutward) {
   EXPECT_LT(N.lo(), N.hi());
 }
 
+/// The double -> float -> double round trip of ia_f32cast_f64 and the
+/// serve evaluator, compiled out of line as they are.
+[[gnu::noinline]] static Interval narrowThenWiden(const Interval &X) {
+  return Interval32::fromInterval(X).widen();
+}
+
+TEST_F(I32Test, NarrowThenWidenStaysOnTheFloatGrid) {
+  // The optimizer must not fold the round trip away.
+  Interval W = narrowThenWiden(Interval::fromEndpoints(-7.4, -5.3));
+  EXPECT_EQ(W.lo(), -7.400000095367432);
+  EXPECT_EQ(W.hi(), -5.299999713897705);
+}
+
 TEST_F(I32Test, Comparisons) {
   EXPECT_EQ(iCmpLT(Interval32::fromEndpoints(0, 1),
                    Interval32::fromEndpoints(2, 3)),

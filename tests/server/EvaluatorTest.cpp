@@ -250,19 +250,15 @@ TEST(Evaluator, UserFunctionCalls) {
   EXPECT_DOUBLE_EQ(R.Return.hi(), 13.0);
 }
 
-TEST(Evaluator, DescribeFunction) {
-  auto P = compile(
-      "double f(double x, int n, double *a, double:0.25 t) { return x; }");
-  std::vector<std::string> Kinds;
-  std::string Ret;
-  ASSERT_TRUE(describeFunction(*P, "f", Kinds, Ret));
-  ASSERT_EQ(Kinds.size(), 4u);
-  EXPECT_EQ(Kinds[0], "interval");
-  EXPECT_EQ(Kinds[1], "int");
-  EXPECT_EQ(Kinds[2], "array");
-  EXPECT_EQ(Kinds[3].substr(0, 10), "tolerance:");
-  EXPECT_EQ(Ret, "interval");
-  EXPECT_FALSE(describeFunction(*P, "g", Kinds, Ret));
+TEST(Evaluator, FloatCastRoundsOutwardToTheFloatGrid) {
+  auto P = compile("double f(double x) { return (float)x; }");
+  RoundUpwardScope Up;
+  EvalArg X;
+  X.Scalar = Interval::fromEndpoints(-7.4, -5.3);
+  EvalResult R = evalFunction(*P, "f", {X}, {});
+  ASSERT_TRUE(R.Ok) << R.Error.Message;
+  EXPECT_EQ(R.Return.lo(), -7.400000095367432);
+  EXPECT_EQ(R.Return.hi(), -5.299999713897705);
 }
 
 TEST(Evaluator, DoubleDoubleProgramsAreRejectedTyped) {

@@ -40,6 +40,11 @@ f64i softplusish(f64i x);
 f64i hypot2(f64i a, f64i b);
 f64i jbranch(f64i a, f64i b);
 f64i jclamp(f64i x);
+f64i rk_minmax(f64i a, f64i b);
+f64i rk_three(f64i x, f64i y);
+f64i rk_tol(f64i x);
+f64i rk_fmath(f64i a, f64i b);
+f64i rk_narrow(f64i x);
 
 namespace {
 
@@ -78,17 +83,19 @@ std::shared_ptr<const InMemoryProgram> compileInput(const char *File,
 
 class ServeCompare : public ::testing::Test {
 protected:
-  static std::shared_ptr<const InMemoryProgram> Kernels, Trig, Join;
+  static std::shared_ptr<const InMemoryProgram> Kernels, Trig, Join, Rules;
 
   static void SetUpTestSuite() {
     Kernels = compileInput("kernels.c", /*Reductions=*/true, /*Join=*/false);
     Trig = compileInput("trig.c", false, false);
     Join = compileInput("joink.c", false, /*Join=*/true);
+    Rules = compileInput("rulesk.c", false, /*Join=*/true);
   }
   static void TearDownTestSuite() {
     Kernels.reset();
     Trig.reset();
     Join.reset();
+    Rules.reset();
   }
 
   RoundUpwardScope Up;
@@ -127,6 +134,7 @@ protected:
 std::shared_ptr<const InMemoryProgram> ServeCompare::Kernels;
 std::shared_ptr<const InMemoryProgram> ServeCompare::Trig;
 std::shared_ptr<const InMemoryProgram> ServeCompare::Join;
+std::shared_ptr<const InMemoryProgram> ServeCompare::Rules;
 
 TEST_F(ServeCompare, PolyBitIdentical) {
   for (int I = 0; I < 500; ++I) {
@@ -292,6 +300,40 @@ TEST_F(ServeCompare, JoinBranchKernelsBitIdentical) {
                                     {scalarArg(A), scalarArg(B)})));
     EXPECT_TRUE(bitIdentical(::jclamp(X), served(*Join, "jclamp",
                                                {scalarArg(X)})));
+  }
+}
+
+TEST_F(ServeCompare, MultiTargetJoinsBitIdentical) {
+  for (int I = 0; I < 300; ++I) {
+    // Straddling pairs take the join path; point pairs either branch.
+    Interval A = I % 3 ? Interval::fromEndpoints(uniform(-2.0, 0.0),
+                                                 uniform(0.0, 2.0))
+                       : Interval::fromPoint(uniform(-2.0, 2.0));
+    Interval B = Interval::fromPoint(uniform(-2.0, 2.0));
+    EXPECT_TRUE(bitIdentical(::rk_minmax(A, B),
+                             served(*Rules, "rk_minmax",
+                                    {scalarArg(A), scalarArg(B)})));
+    EXPECT_TRUE(bitIdentical(::rk_three(A, B),
+                             served(*Rules, "rk_three",
+                                    {scalarArg(A), scalarArg(B)})));
+    EXPECT_TRUE(bitIdentical(::rk_three(B, A),
+                             served(*Rules, "rk_three",
+                                    {scalarArg(B), scalarArg(A)})));
+  }
+}
+
+TEST_F(ServeCompare, ToleranceLiteralMathAndCastBitIdentical) {
+  for (int I = 0; I < 300; ++I) {
+    double Lo = uniform(-3.0, 3.0);
+    Interval A = Interval::fromEndpoints(Lo, Lo + uniform(0.0, 1.0));
+    Interval B = Interval::fromPoint(uniform(-3.0, 3.0));
+    EXPECT_TRUE(bitIdentical(::rk_tol(A),
+                             served(*Rules, "rk_tol", {scalarArg(A)})));
+    EXPECT_TRUE(bitIdentical(::rk_fmath(A, B),
+                             served(*Rules, "rk_fmath",
+                                    {scalarArg(A), scalarArg(B)})));
+    EXPECT_TRUE(bitIdentical(::rk_narrow(A),
+                             served(*Rules, "rk_narrow", {scalarArg(A)})));
   }
 }
 

@@ -284,6 +284,28 @@ TEST(Transform, JoinModeBranches) {
   EXPECT_THAT(Out, HasSubstr("r = ia_join_f64(r, _res_r);"));
 }
 
+TEST(Transform, JoinTargetsFollowSourceOrder) {
+  // lo is declared first but hi is assigned first: the save, restore
+  // and join lines follow the order of first assignment.
+  TransformOptions Opts;
+  Opts.Branches = TransformOptions::BranchPolicy::Join;
+  std::string Out = compile("double f(double a, double b) {\n"
+                            "  double lo = a;\n"
+                            "  double hi = b;\n"
+                            "  if (a > b) { hi = a; lo = b; }\n"
+                            "  return hi - lo;\n"
+                            "}\n",
+                            Opts);
+  EXPECT_THAT(Out, HasSubstr("    f64i _sav_hi = hi;\n"
+                             "    f64i _sav_lo = lo;\n"));
+  EXPECT_THAT(Out, HasSubstr("    f64i _res_hi = hi;\n"
+                             "    hi = _sav_hi;\n"
+                             "    f64i _res_lo = lo;\n"
+                             "    lo = _sav_lo;\n"));
+  EXPECT_THAT(Out, HasSubstr("    hi = ia_join_f64(hi, _res_hi);\n"
+                             "    lo = ia_join_f64(lo, _res_lo);\n"));
+}
+
 TEST(Transform, JoinModeFallsBackOnArrayStores) {
   TransformOptions Opts;
   Opts.Branches = TransformOptions::BranchPolicy::Join;
