@@ -29,6 +29,12 @@
 ///                       the one-shot CLI round-trip the daemon
 ///                       replaces (and that still omits the C-compiler
 ///                       round-trip a CLI user needs before evaluating)
+///   serve-eval-interp   the evaluator layer alone: evalFunction on the
+///                       eval-scalar benchmark kernels (scalark.c:
+///                       newton, henon, piece with the join policy,
+///                       elem, red with reductions), no JSON; `cycles`
+///                       is cycles per executed op (the `ops` count),
+///                       `size` the ops per call, median of 31 calls
 ///
 /// The binary enforces the service's reason to exist:
 ///   * compile transaction: answering from the cache (content hash +
@@ -44,10 +50,13 @@
 //===----------------------------------------------------------------------===//
 
 #include "BenchUtil.h"
+#include "interval/Rounding.h"
+#include "server/Evaluator.h"
 #include "server/FunctionCache.h"
 #include "server/Json.h"
 #include "server/PersistCache.h"
 #include "server/ServerCore.h"
+#include "support/StringExtras.h"
 #include "transform/Pipeline.h"
 
 #include <algorithm>
@@ -219,6 +228,75 @@ uint64_t hitTransactionCycles(const ServeKernel &K) {
     }
   });
   return Total / Batch > 0 ? Total / Batch : 1;
+}
+
+EvalArg scalarArg(double Lo, double Hi) {
+  EvalArg A;
+  A.Scalar = Interval::fromEndpoints(Lo, Hi);
+  return A;
+}
+
+EvalArg intArg(long long N) {
+  EvalArg A;
+  A.K = EvalArg::Kind::Int;
+  A.IntValue = N;
+  return A;
+}
+
+/// serve-eval-interp rows: the evaluator on the eval-scalar kernels, at
+/// the workload's loop lengths and options, in cycles per executed op.
+void evalInterpRows(JsonReport &Report) {
+  TransformOptions Opts;
+  Opts.OptLevel = 0;
+  Opts.ScalarLibrary = true;
+  std::string Source;
+  DiagnosticsEngine Diags;
+  if (!readFile(IGEN_SCALAR_KERNELS, Source))
+    std::exit(2);
+  auto Prog = compileToProgram(Source, Opts, Diags);
+  if (!Prog)
+    std::exit(2);
+  struct Case {
+    const char *Fn;
+    std::vector<EvalArg> Args;
+    bool Join, Reduce;
+  };
+  const Case Cases[] = {
+      {"newton", {scalarArg(2.0, 2.0000001), scalarArg(1, 1), intArg(300)},
+       false, false},
+      {"henon",
+       {scalarArg(-0.1, -0.0999), scalarArg(0.05, 0.0501), intArg(24),
+        intArg(24)},
+       false, false},
+      {"piece", {scalarArg(0.6, 0.61), intArg(400)}, true, false},
+      {"elem", {scalarArg(0.5, 0.5001), intArg(150)}, false, false},
+      {"red",
+       {scalarArg(0.3, 0.31), scalarArg(0.0009765625, 0.0009765625),
+        intArg(1500)},
+       false, true},
+  };
+  RoundUpwardScope Up;
+  for (const Case &C : Cases) {
+    EvalOptions EO;
+    EO.JoinBranches = C.Join;
+    EO.EnableReductions = C.Reduce;
+    EvalResult R;
+    uint64_t Cycles = medianCycles(
+        [&] {
+          R = evalFunction(*Prog, C.Fn, C.Args, EO);
+          if (!R.Ok)
+            std::exit(2);
+        },
+        31);
+    double PerOp = static_cast<double>(Cycles) /
+                   static_cast<double>(R.OpsExecuted);
+    std::printf("# %s: evaluator %.2f cycles/op (%llu ops)\n", C.Fn, PerOp,
+                static_cast<unsigned long long>(R.OpsExecuted));
+    printRow(C.Fn, "serve-eval-interp", static_cast<int>(R.OpsExecuted),
+             1.0 / PerOp);
+    Report.add(C.Fn, "serve-eval-interp",
+               static_cast<long>(R.OpsExecuted), PerOp, 1.0 / PerOp);
+  }
 }
 
 /// Medians over GateReps interleaved repetitions of two measurements a
@@ -456,6 +534,8 @@ int main(int Argc, char **Argv) {
       std::fprintf(stderr, "serve_bench: warning: cannot remove %s\n",
                    DirTmpl);
   }
+
+  evalInterpRows(Report);
 
   if (JsonPath && !Report.writeTo(JsonPath)) {
     std::fprintf(stderr, "serve_bench: cannot write %s\n", JsonPath);

@@ -235,7 +235,7 @@ void atExitReport() {
 
 namespace igen::prof::detail {
 
-thread_local TlsView Tls;
+thread_local constinit TlsView Tls;
 
 void recordSlow(const RingEntry &E) {
   Registry &R = Registry::get();

@@ -157,7 +157,13 @@ struct TlsView {
   RecordRing *Ring = nullptr;
 };
 
-extern thread_local TlsView Tls;
+/// constinit: the variable needs no dynamic initialization, so an access
+/// from another translation unit is a plain thread-pointer-relative load.
+/// Without it every access first tests the address of a weak, absent
+/// "TLS init function" against null, and under -fsanitize=null GCC 12
+/// reused that test's flags for the null check of &Tls (after an lea,
+/// which sets none), reporting a member access within a null TlsView.
+extern thread_local constinit TlsView Tls;
 
 /// Out-of-line path: attaches this thread's buffer to the registry on
 /// first use, flushes the full ring into per-site statistics, then

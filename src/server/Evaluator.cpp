@@ -1,43 +1,40 @@
-//===- Evaluator.cpp - AST-walking interval evaluator ------------------------===//
+//===- Evaluator.cpp - Register executor for the serve eval tier -----------===//
 //
 // Part of the IGen reproduction. BSD 3-Clause license.
 //
 //===----------------------------------------------------------------------===//
 //
-// Bit-identity contract: this walker executes the `-O0 --target=ss`
-// emission of transform/IntervalTransform.cpp operation for operation.
-// The decisions both back ends must share are made once, at compile
-// time, by transform/LoweringRules.h and read here from the AST:
-// literal enclosures (FloatLiteralExpr::Enc), tolerance widening
-// (VarDecl::TolUp), join safety and targets (IfStmt::JoinTargets),
-// math callees (CallExpr::Math), user callees (CallExpr::Fn), reduction
-// sites (ForStmt::Reductions, ExprStmt::Reduction) and frame slots
-// (VarDecl::Slot, FunctionDecl::NumSlots). The emitter's compile-time
-// constant folding needs no mirroring: it evaluates the same pure
-// interval ops under FE_UPWARD that run here, and %.17g materialization
-// round-trips, so folded and interpreted constants carry identical bits.
+// Runs the flat interval code transform/EvalCode.h lowered at compile
+// time. One loop dispatches every instruction: it adds the instruction's
+// step weight, takes the slow path only when the step budget or the next
+// deadline poll is reached, and performs the effect on the current
+// frame's typed register files. Calls push an activation record and a
+// frame on a per-request stack (chunked, so frames never move and
+// pointers into them stay valid); no heap allocation happens per call.
 //
 //===----------------------------------------------------------------------===//
 
 #include "server/Evaluator.h"
 
-#include "frontend/AST.h"
-#include "frontend/Sema.h"
 #include "interval/Accumulator.h"
 #include "interval/Elementary.h"
 #include "interval/Interval32.h"
 #include "interval/TBool.h"
+#include "transform/EvalCode.h"
 #include "transform/LoweringRules.h"
 
-#include <cstdint>
+#include <algorithm>
+#include <cstring>
+#include <memory>
 
 using namespace igen;
 using namespace igen::server;
+using namespace igen::evalcode;
 
 namespace {
 
-/// Thrown to unwind out of any depth of interpretation; converted to a
-/// typed EvalResult at the evalFunction boundary.
+/// Thrown to unwind out of the executor; converted to a typed
+/// EvalResult at the evalFunction boundary.
 struct EvalAbort {
   EvalError E;
 };
@@ -47,91 +44,157 @@ struct EvalAbort {
 }
 
 /// A pointer value: base buffer plus a signed offset, with the extent
-/// carried along so the interpreter can bounds-check accesses the AOT
-/// code would execute blind. (Out-of-range access is undefined behavior
-/// in the compiled artifact; in the daemon it must be a typed error,
-/// not a memory-safety hole.)
-struct PtrVal {
-  Interval *Base = nullptr;
-  long long Size = 0;
-  long long Off = 0;
+/// carried along so every access is bounds-checked (out-of-range access
+/// is undefined behavior in the compiled artifact; in the daemon it must
+/// be a typed error, not a memory-safety hole).
+struct PtrReg {
+  Interval *Base;
+  long long Size;
+  long long Off;
 };
 
-struct Value {
-  enum class K { None, Int, Iv, TB, Ptr };
-  K Kind = K::None;
-  long long I = 0;
-  Interval V = Interval::fromPoint(0.0);
-  TBool B = TBool::False;
-  PtrVal P;
-
-  static Value makeInt(long long X) {
-    Value R;
-    R.Kind = K::Int;
-    R.I = X;
-    return R;
-  }
-  static Value makeIv(const Interval &X) {
-    Value R;
-    R.Kind = K::Iv;
-    R.V = X;
-    return R;
-  }
-  static Value makeTB(TBool X) {
-    Value R;
-    R.Kind = K::TB;
-    R.B = X;
-    return R;
-  }
-  static Value makePtr(PtrVal X) {
-    Value R;
-    R.Kind = K::Ptr;
-    R.P = X;
-    return R;
-  }
+/// A value whose category is only known at run time.
+struct AnyReg {
+  Kind K;
+  TBool B;
+  long long I;
+  Interval V;
+  PtrReg P;
 };
 
-struct Flow {
-  enum class K { Normal, Break, Continue, Return };
-  K Kind = K::Normal;
-  Value Ret; ///< K::Return with a value expression
-  bool HasRet = false;
-};
-
-/// An addressable storage slot, for lvalues.
-struct LValue {
-  enum class K { Slot, Element };
-  K Kind = K::Slot;
-  Value *Slot = nullptr;     ///< variable slot
-  Interval *Element = nullptr; ///< bounds-checked array element
-};
-
-/// One call's storage. Slots (one per parameter and local, indexed by
-/// VarDecl::Slot) and, with reductions on, Accs (one per reduction site,
-/// indexed by ReductionSite::Index) are sized at entry and never
-/// resized, so AddrOf pointers stay valid. LocalArrays grows, but moving
-/// an element vector keeps its buffer.
+/// One activation's register files.
 struct Frame {
-  std::vector<Value> Slots;
-  std::vector<SumAccumulatorF64> Accs;
-  std::vector<std::vector<Interval>> LocalArrays;
+  Interval *V;
+  long long *I;
+  TBool *T;
+  PtrReg *P;
+  AnyReg *Y;
+  SumAccumulatorF64 *Acc;
 };
 
-class Interp {
+/// Per-request LIFO storage for frames and local arrays. Chunks are
+/// never moved or freed before the request ends, so a pointer into a
+/// frame stays valid while the frame lives.
+class FrameStack {
 public:
-  Interp(const InMemoryProgram &Prog, const EvalOptions &Opts)
-      : Prog(Prog), Opts(Opts) {
+  struct Mark {
+    size_t Chunk, Top;
+  };
+
+  Mark mark() const { return {Cur, Top}; }
+  void release(Mark M) {
+    Cur = M.Chunk;
+    Top = M.Top;
+  }
+
+  void *alloc(size_t Bytes) {
+    Bytes = (Bytes + 15) & ~size_t(15);
+    for (;;) {
+      size_t Cap = Cur == 0 ? sizeof(Inline) : Chunks[Cur - 1].Size;
+      if (Top + Bytes <= Cap) {
+        std::byte *Base = Cur == 0 ? Inline : Chunks[Cur - 1].Mem.get();
+        void *P = Base + Top;
+        Top += Bytes;
+        return P;
+      }
+      if (Cur == Chunks.size()) {
+        size_t Size = std::max(Bytes, 2 * Cap);
+        Chunks.push_back({std::unique_ptr<std::byte[]>(new std::byte[Size]),
+                          Size});
+      }
+      ++Cur;
+      Top = 0;
+    }
+  }
+
+private:
+  struct Chunk {
+    std::unique_ptr<std::byte[]> Mem;
+    size_t Size;
+  };
+  alignas(16) std::byte Inline[8192];
+  std::vector<Chunk> Chunks;
+  size_t Cur = 0, Top = 0;
+};
+
+size_t round16(size_t N) { return (N + 15) & ~size_t(15); }
+
+/// The caller's state while a callee runs.
+struct Activation {
+  const FunctionCode *Fn;
+  const Insn *Resume;
+  Frame Regs;
+  uint32_t Dst;
+  FrameStack::Mark Mark;
+};
+
+bool compare(Cmp C, long long A, long long B) {
+  switch (C) {
+  case Cmp::LT: return A < B;
+  case Cmp::GT: return A > B;
+  case Cmp::LE: return A <= B;
+  case Cmp::GE: return A >= B;
+  case Cmp::EQ: return A == B;
+  case Cmp::NE: return A != B;
+  }
+  return false;
+}
+
+TBool compare(Cmp C, const Interval &A, const Interval &B) {
+  switch (C) {
+  case Cmp::LT: return iCmpLT(A, B);
+  case Cmp::GT: return iCmpGT(A, B);
+  case Cmp::LE: return iCmpLE(A, B);
+  case Cmp::GE: return iCmpGE(A, B);
+  case Cmp::EQ: return iCmpEQ(A, B);
+  case Cmp::NE: return iCmpNE(A, B);
+  }
+  return TBool::Unknown;
+}
+
+/// Two's-complement integer arithmetic (what the emitted C does on the
+/// machines it targets, without the undefined behavior).
+long long wrap(unsigned long long X) { return static_cast<long long>(X); }
+
+Interval math(MathOp Op, const Interval &X) {
+  switch (Op) {
+  case MathOp::Sqrt: return iSqrt(X);
+  case MathOp::Abs: return iAbs(X);
+  case MathOp::Floor: return iFloor(X);
+  case MathOp::Ceil: return iCeil(X);
+  case MathOp::Exp: return iExp(X);
+  case MathOp::Log: return iLog(X);
+  case MathOp::Sin: return iSin(X);
+  case MathOp::Cos: return iCos(X);
+  case MathOp::Tan: return iTan(X);
+  case MathOp::Atan: return iAtan(X);
+  case MathOp::Asin: return iAsin(X);
+  case MathOp::Acos: return iAcos(X);
+  default: return X;
+  }
+}
+
+class Machine {
+public:
+  Machine(const EvalModule &M, const EvalOptions &Opts)
+      : M(M), Opts(Opts),
+        LimitPlus1(Opts.StepLimit == ~0ull ? ~0ull : Opts.StepLimit + 1),
+        Flags((Opts.JoinBranches ? 1u << FlagJoin : 0u) |
+              (Opts.EnableReductions ? 1u << FlagReduce : 0u)) {
     if (Opts.HasDeadline)
-      NextDeadlineCheck = DeadlineCheckEvery;
+      NextPoll = DeadlineCheckEvery;
+    Threshold = std::min(LimitPlus1, NextPoll);
   }
 
   EvalResult run(const std::string &Function,
                  const std::vector<EvalArg> &Args);
 
 private:
-  const InMemoryProgram &Prog;
+  const EvalModule &M;
   const EvalOptions &Opts;
   unsigned long long Steps = 0;
+  const unsigned long long LimitPlus1;
+  const unsigned Flags;
   unsigned Depth = 0;
 
   /// Amortization interval for wall-clock deadline polls: frequent
@@ -140,885 +203,554 @@ private:
   static constexpr unsigned long long DeadlineCheckEvery = 512;
   /// Next Steps value at which to poll the clock; ~0 when no deadline
   /// is set, so disabled requests pay one always-false compare per op.
-  unsigned long long NextDeadlineCheck = ~0ull;
+  unsigned long long NextPoll = ~0ull;
+  /// min(step limit + 1, NextPoll): the only compare on the fast path.
+  unsigned long long Threshold;
   /// Call-entry polls are strided too: deep recursion that makes
-  /// little Steps progress still reaches a cancellation point every
+  /// little step progress still reaches a cancellation point every
   /// DeadlineCheckCalls frames, while a short request's single
   /// top-level call never pays a clock read at all.
   static constexpr unsigned DeadlineCheckCalls = 64;
   unsigned CallsSincePoll = 0;
 
-  void checkDeadlineNow() {
-    NextDeadlineCheck = Steps + DeadlineCheckEvery;
+  FrameStack Stack;
+  std::vector<Activation> Calls;
+
+  [[noreturn]] void failWith(uint32_t Idx) {
+    const Failure &F = M.failure(Idx);
+    fail(F.Code, F.Message);
+  }
+
+  void pollDeadline() {
+    Threshold = std::min(LimitPlus1, NextPoll);
     if (std::chrono::steady_clock::now() >= Opts.Deadline)
       fail("deadline-exceeded",
            "evaluation exceeded the request's wall-clock deadline");
   }
 
-  void step(unsigned long long N = 1) {
-    Steps += N;
-    if (Steps > Opts.StepLimit)
+  void checkDeadlineNow() {
+    NextPoll = Steps + DeadlineCheckEvery;
+    pollDeadline();
+  }
+
+  /// Steps reached the budget or the next deadline poll.
+  void slowStep() {
+    if (Steps >= LimitPlus1) {
+      Steps = LimitPlus1;
       fail("step-limit", "evaluation exceeded the per-request step budget");
-    if (Steps >= NextDeadlineCheck)
+    }
+    // The poll a step-by-step count would have made when it crossed
+    // NextPoll, so the cadence stays every 512 steps.
+    NextPoll += DeadlineCheckEvery;
+    if (NextPoll <= Steps)
+      NextPoll = Steps + DeadlineCheckEvery;
+    pollDeadline();
+  }
+
+  /// Call entry: depth bound and the strided deadline poll.
+  void enterCall() {
+    if (++Depth > Opts.MaxCallDepth) {
+      --Depth;
+      fail("recursion-limit", "user-function call depth exceeded");
+    }
+    if (Opts.HasDeadline && ++CallsSincePoll >= DeadlineCheckCalls) {
+      CallsSincePoll = 0;
       checkDeadlineNow();
-  }
-
-  // --- value categories ---
-
-  /// The emitter's TBool category: float comparisons, logical ops over
-  /// them, and their negations.
-  static bool isTBoolExpr(const Expr *E);
-
-  Interval asInterval(const Value &V) {
-    switch (V.Kind) {
-    case Value::K::Iv:
-      return V.V;
-    case Value::K::Int:
-      // ia_cst_f64((double)(i))
-      return Interval::fromPoint(static_cast<double>(V.I));
-    case Value::K::TB:
-      fail("unsupported", "cannot use a comparison result as a value");
-    default:
-      fail("unsupported", "cannot use a pointer as a scalar value");
     }
   }
 
-  TBool asTBool(const Value &V) {
-    if (V.Kind == Value::K::TB)
-      return V.B;
-    if (V.Kind == Value::K::Int)
-      return tboolFromBool(V.I != 0); // ia_bool2tb
-    fail("unsupported", "cannot use this value as a condition");
+  Frame newFrame(const FunctionCode &Fn) {
+    size_t IvB = round16(Fn.NumIv * sizeof(Interval));
+    size_t AccB = round16(Fn.NumAcc * sizeof(SumAccumulatorF64));
+    size_t PB = round16(Fn.NumPtr * sizeof(PtrReg));
+    size_t YB = round16(Fn.NumAny * sizeof(AnyReg));
+    size_t IB = round16(Fn.NumInt * sizeof(long long));
+    auto *Base = static_cast<std::byte *>(
+        Stack.alloc(IvB + AccB + PB + YB + IB + Fn.NumTb));
+    Frame F;
+    F.V = reinterpret_cast<Interval *>(Base);
+    F.Acc = reinterpret_cast<SumAccumulatorF64 *>(Base + IvB);
+    F.P = reinterpret_cast<PtrReg *>(Base + IvB + AccB);
+    F.Y = reinterpret_cast<AnyReg *>(Base + IvB + AccB + PB);
+    F.I = reinterpret_cast<long long *>(Base + IvB + AccB + PB + YB);
+    F.T = reinterpret_cast<TBool *>(Base + IvB + AccB + PB + YB + IB);
+    if (!Fn.IvInit.empty())
+      std::memcpy(F.V, Fn.IvInit.data(), Fn.IvInit.size() * sizeof(Interval));
+    if (!Fn.IntInit.empty())
+      std::memcpy(F.I, Fn.IntInit.data(),
+                  Fn.IntInit.size() * sizeof(long long));
+    if (Fn.ZeroPtr)
+      std::memset(F.P, 0, PB);
+    if (Fn.NumAny)
+      std::memset(static_cast<void *>(F.Y), 0, YB);
+    return F;
   }
 
-  bool cvtCond(const Value &V, const char *Where) {
-    if (V.Kind == Value::K::Int)
-      return V.I != 0;
-    if (V.Kind == Value::K::TB) {
-      // ia_cvt2bool_tb, with Unknown surfaced as a typed error instead
-      // of the process-global UnknownBranchHandler (which a concurrent
-      // daemon cannot safely retarget per request).
-      if (V.B == TBool::Unknown)
-        fail("unknown-branch",
-             std::string("interval condition is unknown at ") + Where);
-      return V.B == TBool::True;
+  /// Binds one argument to a parameter, checking it as the callee's
+  /// prologue does.
+  static void bind(const ParamSlot &P, const AnyReg &A, Frame &F) {
+    AnyReg V = A;
+    auto Takes = [&](Kind K, const char *What) {
+      if (A.K != K)
+        fail("bad-argument", "parameter '" + P.Name + "' takes " + What);
+    };
+    switch (P.T) {
+    case ParamSlot::Takes::Tolerance:
+      // The emitted body only reads the shadow _a = ia_set_tol(a, TolUp),
+      // so the parameter holds the widened interval directly.
+      if (A.K != Kind::Iv || !A.V.isPoint())
+        fail("bad-argument",
+             "tolerance parameter '" + P.Name + "' takes a point value");
+      V.V = iSetTol(A.V.Hi, P.TolUp);
+      break;
+    case ParamSlot::Takes::Iv:
+      Takes(Kind::Iv, "an interval");
+      break;
+    case ParamSlot::Takes::Int:
+      Takes(Kind::Int, "an integer");
+      break;
+    case ParamSlot::Takes::Ptr:
+      Takes(Kind::Ptr, "an array");
+      break;
+    case ParamSlot::Takes::Vector:
+      fail("unsupported", "SIMD vector parameters are not supported");
+    case ParamSlot::Takes::Other:
+      fail("unsupported", "unsupported parameter type for '" + P.Name + "'");
     }
-    fail("unsupported", "invalid condition value");
+    switch (P.Store) {
+    case Kind::Iv: F.V[P.Reg] = V.V; break;
+    case Kind::Int: F.I[P.Reg] = V.I; break;
+    case Kind::Ptr: F.P[P.Reg] = V.P; break;
+    default: F.Y[P.Reg] = V; break;
+    }
   }
 
-  Interval &element(const PtrVal &P, long long Idx) {
-    long long At = P.Off + Idx;
+  static AnyReg load(const Frame &F, Kind K, uint32_t R) {
+    AnyReg A{};
+    A.K = K;
+    switch (K) {
+    case Kind::Iv: A.V = F.V[R]; break;
+    case Kind::Int: A.I = F.I[R]; break;
+    case Kind::Tb: A.B = F.T[R]; break;
+    case Kind::Ptr: A.P = F.P[R]; break;
+    case Kind::Any: return F.Y[R];
+    case Kind::None: break;
+    }
+    return A;
+  }
+
+  [[noreturn]] static void outOfBounds(long long At, long long Size) {
+    fail("out-of-bounds", "array access at index " + std::to_string(At) +
+                              " outside buffer of " + std::to_string(Size));
+  }
+  static long long checkedIndex(const PtrReg &P, long long Idx) {
+    long long At = wrap(static_cast<unsigned long long>(P.Off) +
+                        static_cast<unsigned long long>(Idx));
     if (!P.Base || At < 0 || At >= P.Size)
-      fail("out-of-bounds",
-           "array access at index " + std::to_string(At) +
-               " outside buffer of " + std::to_string(P.Size));
-    return P.Base[At];
+      outOfBounds(At, P.Size);
+    return At;
+  }
+  [[noreturn]] static void unknownAt(uint32_t W) {
+    fail("unknown-branch", std::string("interval condition is unknown at ") +
+                               whereName(static_cast<Where>(W)));
   }
 
-  // --- expressions ---
+  long long intOp(IntOp Op, long long A, long long B) {
+    using U = unsigned long long;
+    switch (Op) {
+    case IntOp::Add: return wrap(U(A) + U(B));
+    case IntOp::Sub: return wrap(U(A) - U(B));
+    case IntOp::Mul: return wrap(U(A) * U(B));
+    case IntOp::Div:
+      if (B == 0)
+        failWith(FailDivZero);
+      return B == -1 ? wrap(0 - U(A)) : A / B;
+    case IntOp::Rem:
+      if (B == 0)
+        failWith(FailRemZero);
+      return B == -1 ? 0 : A % B;
+    case IntOp::Shl: return wrap(U(A) << (B & 63));
+    case IntOp::Shr: return A >> (B & 63);
+    case IntOp::And: return A & B;
+    case IntOp::Or: return A | B;
+    case IntOp::Xor: return A ^ B;
+    }
+    return 0;
+  }
 
-  Value evalExpr(const Expr *E, Frame &F);
-  Value evalUnary(const UnaryExpr *U, Frame &F);
-  Value evalBinary(const BinaryExpr *B, Frame &F);
-  Value evalCall(const CallExpr *C, Frame &F);
-  Value evalCast(const CastExpr *C, Frame &F);
-  LValue evalLValue(const Expr *E, Frame &F);
-  Value loadLValue(const LValue &L, const Type *Ty);
-  void storeLValue(const LValue &L, const Value &V);
+  /// The interval a tagged value denotes (the translation's asInterval).
+  Interval anyToIv(const AnyReg &A, uint8_t Mode) {
+    if (A.K == Kind::Iv)
+      return Mode == 2 ? Interval32::fromInterval(A.V).widen() : A.V;
+    if (A.K == Kind::Int)
+      return Interval::fromPoint(static_cast<double>(A.I));
+    if (Mode != 0)
+      failWith(FailCastOperand);
+    failWith(A.K == Kind::Tb ? FailTbAsValue : FailNotScalar);
+  }
 
-  // --- statements ---
-
-  Flow execStmt(const Stmt *S, Frame &F);
-  Flow execCompound(const CompoundStmt *S, Frame &F);
-  Flow execIf(const IfStmt *S, Frame &F);
-  Flow execFor(const ForStmt *S, Frame &F);
-  void execDecl(const VarDecl *D, Frame &F);
-
-  Value callFunction(const FunctionDecl *Fn, std::vector<Value> Args);
+  /// Runs \p Fn on a bound frame until it returns; the returned value
+  /// lands in \p Out.
+  void exec(const FunctionCode *Fn, Frame R, AnyReg &Out);
 };
 
-bool Interp::isTBoolExpr(const Expr *E) {
-  E = ignoreParens(E);
-  if (const auto *B = dynCast<BinaryExpr>(E)) {
-    bool FloatOp =
-        (B->LHS->type() && B->LHS->type()->isFloatingOrVector()) ||
-        (B->RHS->type() && B->RHS->type()->isFloatingOrVector());
-    switch (B->O) {
-    case BinaryExpr::Op::LT:
-    case BinaryExpr::Op::GT:
-    case BinaryExpr::Op::LE:
-    case BinaryExpr::Op::GE:
-    case BinaryExpr::Op::EQ:
-    case BinaryExpr::Op::NE:
-      return FloatOp;
-    case BinaryExpr::Op::LAnd:
-    case BinaryExpr::Op::LOr:
-      return isTBoolExpr(B->LHS) || isTBoolExpr(B->RHS);
-    default:
-      return false;
-    }
-  }
-  if (const auto *U = dynCast<UnaryExpr>(E))
-    if (U->O == UnaryExpr::Op::LogicalNot)
-      return isTBoolExpr(U->Sub);
-  return false;
-}
-
-Value Interp::evalExpr(const Expr *E, Frame &F) {
-  step();
-  switch (E->kind()) {
-  case Expr::Kind::IntLiteral:
-    return Value::makeInt(cast<IntLiteralExpr>(E)->Value);
-  case Expr::Kind::FloatLiteral:
-    return Value::makeIv(cast<FloatLiteralExpr>(E)->Enc->F64);
-  case Expr::Kind::DeclRef: {
-    const auto *Ref = cast<DeclRefExpr>(E);
-    if (!Ref->Decl)
-      fail("unsupported", "reference to undeclared name '" + Ref->Name +
-                              "'");
-    return F.Slots[Ref->Decl->Slot];
-  }
-  case Expr::Kind::Paren:
-    return evalExpr(cast<ParenExpr>(E)->Sub, F);
-  case Expr::Kind::Unary:
-    return evalUnary(cast<UnaryExpr>(E), F);
-  case Expr::Kind::Binary:
-    return evalBinary(cast<BinaryExpr>(E), F);
-  case Expr::Kind::Conditional: {
-    const auto *C = cast<ConditionalExpr>(E);
-    if (isTBoolExpr(C->Cond))
-      fail("unsupported", "interval-dependent '?:' conditions are not "
-                          "supported; rewrite as an if statement");
-    Value Cond = evalExpr(C->Cond, F);
-    // Plain condition: C evaluates only the taken side, and the emitted
-    // `(c ? a : b)` does the same.
-    const Expr *Side = cvtCond(Cond, "?:") ? C->Then : C->Else;
-    Value V = evalExpr(Side, F);
-    if (E->type() && E->type()->isFloatingOrVector())
-      return Value::makeIv(asInterval(V));
-    return V;
-  }
-  case Expr::Kind::Call:
-    return evalCall(cast<CallExpr>(E), F);
-  case Expr::Kind::Index: {
-    const auto *I = cast<IndexExpr>(E);
-    Value Base = evalExpr(I->Base, F);
-    Value Idx = evalExpr(I->Idx, F);
-    if (Base.Kind != Value::K::Ptr || Idx.Kind != Value::K::Int)
-      fail("unsupported", "invalid array subscript");
-    if (!(E->type() && E->type()->isFloating()))
-      fail("unsupported", "only double arrays are supported by eval");
-    return Value::makeIv(element(Base.P, Idx.I));
-  }
-  case Expr::Kind::Cast:
-    return evalCast(cast<CastExpr>(E), F);
-  }
-  fail("unsupported", "unsupported expression kind");
-}
-
-Value Interp::evalUnary(const UnaryExpr *U, Frame &F) {
-  switch (U->O) {
-  case UnaryExpr::Op::Neg: {
-    Value Sub = evalExpr(U->Sub, F);
-    if (Sub.Kind == Value::K::Iv)
-      return Value::makeIv(iNeg(Sub.V));
-    if (Sub.Kind == Value::K::Int)
-      return Value::makeInt(-Sub.I);
-    fail("unsupported", "invalid operand to unary '-'");
-  }
-  case UnaryExpr::Op::Plus:
-    return evalExpr(U->Sub, F);
-  case UnaryExpr::Op::LogicalNot: {
-    Value Sub = evalExpr(U->Sub, F);
-    if (Sub.Kind == Value::K::TB)
-      return Value::makeTB(tboolNot(Sub.B));
-    if (Sub.Kind == Value::K::Int)
-      return Value::makeInt(Sub.I == 0 ? 1 : 0);
-    fail("unsupported", "invalid operand to '!'");
-  }
-  case UnaryExpr::Op::BitNot: {
-    Value Sub = evalExpr(U->Sub, F);
-    if (Sub.Kind != Value::K::Int)
-      fail("unsupported", "invalid operand to '~'");
-    return Value::makeInt(~Sub.I);
-  }
-  case UnaryExpr::Op::PreInc:
-  case UnaryExpr::Op::PreDec:
-  case UnaryExpr::Op::PostInc:
-  case UnaryExpr::Op::PostDec: {
-    LValue L = evalLValue(U->Sub, F);
-    if (L.Kind != LValue::K::Slot || L.Slot->Kind != Value::K::Int)
-      fail("unsupported", "++/-- on floating-point values is not "
-                          "supported in the IGen C subset");
-    bool Pre = U->O == UnaryExpr::Op::PreInc ||
-               U->O == UnaryExpr::Op::PreDec;
-    bool Inc = U->O == UnaryExpr::Op::PreInc ||
-               U->O == UnaryExpr::Op::PostInc;
-    long long Old = L.Slot->I;
-    L.Slot->I = Inc ? Old + 1 : Old - 1;
-    return Value::makeInt(Pre ? L.Slot->I : Old);
-  }
-  case UnaryExpr::Op::Deref: {
-    Value Sub = evalExpr(U->Sub, F);
-    if (Sub.Kind != Value::K::Ptr)
-      fail("unsupported", "dereference of a non-pointer value");
-    if (!(U->type() && U->type()->isFloating()))
-      fail("unsupported", "only double pointers are supported by eval");
-    return Value::makeIv(element(Sub.P, 0));
-  }
-  case UnaryExpr::Op::AddrOf: {
-    LValue L = evalLValue(U->Sub, F);
-    PtrVal P;
-    if (L.Kind == LValue::K::Element) {
-      P.Base = L.Element;
-      P.Size = 1; // a borrowed one-element view; AOT has the same UB edge
-    } else {
-      if (L.Slot->Kind != Value::K::Iv)
-        fail("unsupported", "'&' is only supported on double variables");
-      P.Base = &L.Slot->V;
-      P.Size = 1;
-    }
-    return Value::makePtr(P);
-  }
-  }
-  fail("unsupported", "unsupported unary operator");
-}
-
-Value Interp::evalBinary(const BinaryExpr *B, Frame &F) {
-  if (B->isAssignment()) {
-    // Lvalue first, then RHS, as the emitted assignment.
-    LValue L = evalLValue(B->LHS, F);
-    Value RHS = evalExpr(B->RHS, F);
-    bool IntervalTarget =
-        B->LHS->type() && B->LHS->type()->isFloatingOrVector();
-    if (!IntervalTarget) {
-      // Plain (integer) compound assignment.
-      Value Cur = loadLValue(L, B->LHS->type());
-      if (Cur.Kind == Value::K::Ptr || RHS.Kind == Value::K::Ptr)
-        fail("unsupported", "pointer assignment is not supported by eval");
-      long long A = Cur.I, Bv = RHS.I, R = 0;
-      switch (B->O) {
-      case BinaryExpr::Op::Assign:
-        R = RHS.Kind == Value::K::Int ? Bv : 0;
-        if (RHS.Kind != Value::K::Int)
-          fail("unsupported", "invalid integer assignment");
-        break;
-      case BinaryExpr::Op::AddAssign: R = A + Bv; break;
-      case BinaryExpr::Op::SubAssign: R = A - Bv; break;
-      case BinaryExpr::Op::MulAssign: R = A * Bv; break;
-      case BinaryExpr::Op::DivAssign:
-        if (Bv == 0)
-          fail("int-div-zero", "integer division by zero");
-        R = A / Bv;
-        break;
-      default:
-        fail("unsupported", "unsupported assignment operator");
-      }
-      Value Out = Value::makeInt(R);
-      storeLValue(L, Out);
-      return Out;
-    }
-    Interval Value_ = asInterval(RHS);
-    if (B->O != BinaryExpr::Op::Assign) {
-      Interval Cur = asInterval(loadLValue(L, B->LHS->type()));
-      switch (B->O) {
-      case BinaryExpr::Op::AddAssign: Value_ = iAdd(Cur, Value_); break;
-      case BinaryExpr::Op::SubAssign: Value_ = iSub(Cur, Value_); break;
-      case BinaryExpr::Op::MulAssign: Value_ = iMul(Cur, Value_); break;
-      case BinaryExpr::Op::DivAssign: Value_ = iDiv(Cur, Value_); break;
-      default:
-        fail("unsupported", "unsupported assignment operator");
-      }
-    }
-    Value Out = Value::makeIv(Value_);
-    storeLValue(L, Out);
-    return Out;
-  }
-
-  bool FloatOp =
-      (B->LHS->type() && B->LHS->type()->isFloatingOrVector()) ||
-      (B->RHS->type() && B->RHS->type()->isFloatingOrVector());
-
-  switch (B->O) {
-  case BinaryExpr::Op::Add:
-  case BinaryExpr::Op::Sub:
-  case BinaryExpr::Op::Mul:
-  case BinaryExpr::Op::Div: {
-    Value L = evalExpr(B->LHS, F);
-    Value R = evalExpr(B->RHS, F);
-    if (!FloatOp) {
-      // Pointer arithmetic stays plain C.
-      if (L.Kind == Value::K::Ptr && R.Kind == Value::K::Int &&
-          (B->O == BinaryExpr::Op::Add || B->O == BinaryExpr::Op::Sub)) {
-        PtrVal P = L.P;
-        P.Off += B->O == BinaryExpr::Op::Add ? R.I : -R.I;
-        return Value::makePtr(P);
-      }
-      if (L.Kind != Value::K::Int || R.Kind != Value::K::Int)
-        fail("unsupported", "invalid integer arithmetic operands");
-      switch (B->O) {
-      case BinaryExpr::Op::Add: return Value::makeInt(L.I + R.I);
-      case BinaryExpr::Op::Sub: return Value::makeInt(L.I - R.I);
-      case BinaryExpr::Op::Mul: return Value::makeInt(L.I * R.I);
-      default:
-        if (R.I == 0)
-          fail("int-div-zero", "integer division by zero");
-        return Value::makeInt(L.I / R.I);
-      }
-    }
-    Interval A = asInterval(L), Bv = asInterval(R);
-    switch (B->O) {
-    case BinaryExpr::Op::Add: return Value::makeIv(iAdd(A, Bv));
-    case BinaryExpr::Op::Sub: return Value::makeIv(iSub(A, Bv));
-    case BinaryExpr::Op::Mul: return Value::makeIv(iMul(A, Bv));
-    default: return Value::makeIv(iDiv(A, Bv));
-    }
-  }
-  case BinaryExpr::Op::LT:
-  case BinaryExpr::Op::GT:
-  case BinaryExpr::Op::LE:
-  case BinaryExpr::Op::GE:
-  case BinaryExpr::Op::EQ:
-  case BinaryExpr::Op::NE: {
-    Value L = evalExpr(B->LHS, F);
-    Value R = evalExpr(B->RHS, F);
-    if (!FloatOp) {
-      if (L.Kind != Value::K::Int || R.Kind != Value::K::Int)
-        fail("unsupported", "invalid comparison operands");
-      bool Res;
-      switch (B->O) {
-      case BinaryExpr::Op::LT: Res = L.I < R.I; break;
-      case BinaryExpr::Op::GT: Res = L.I > R.I; break;
-      case BinaryExpr::Op::LE: Res = L.I <= R.I; break;
-      case BinaryExpr::Op::GE: Res = L.I >= R.I; break;
-      case BinaryExpr::Op::EQ: Res = L.I == R.I; break;
-      default: Res = L.I != R.I; break;
-      }
-      return Value::makeInt(Res ? 1 : 0);
-    }
-    if ((B->LHS->type() && B->LHS->type()->isSimdVector()) ||
-        (B->RHS->type() && B->RHS->type()->isSimdVector()))
-      fail("unsupported", "comparisons of SIMD vectors are not supported");
-    Interval A = asInterval(L), Bv = asInterval(R);
-    switch (B->O) {
-    case BinaryExpr::Op::LT: return Value::makeTB(iCmpLT(A, Bv));
-    case BinaryExpr::Op::GT: return Value::makeTB(iCmpGT(A, Bv));
-    case BinaryExpr::Op::LE: return Value::makeTB(iCmpLE(A, Bv));
-    case BinaryExpr::Op::GE: return Value::makeTB(iCmpGE(A, Bv));
-    case BinaryExpr::Op::EQ: return Value::makeTB(iCmpEQ(A, Bv));
-    default: return Value::makeTB(iCmpNE(A, Bv));
-    }
-  }
-  case BinaryExpr::Op::LAnd:
-  case BinaryExpr::Op::LOr: {
-    if (isTBoolExpr(B->LHS) || isTBoolExpr(B->RHS)) {
-      // ia_and_tb/ia_or_tb are plain calls: both operands evaluate.
-      TBool A = asTBool(evalExpr(B->LHS, F));
-      TBool Bb = asTBool(evalExpr(B->RHS, F));
-      return Value::makeTB(B->O == BinaryExpr::Op::LAnd ? tboolAnd(A, Bb)
-                                                        : tboolOr(A, Bb));
-    }
-    // Plain: C short-circuit semantics.
-    Value L = evalExpr(B->LHS, F);
-    bool LB = cvtCond(L, "&&/||");
-    if (B->O == BinaryExpr::Op::LAnd && !LB)
-      return Value::makeInt(0);
-    if (B->O == BinaryExpr::Op::LOr && LB)
-      return Value::makeInt(1);
-    return Value::makeInt(cvtCond(evalExpr(B->RHS, F), "&&/||") ? 1 : 0);
-  }
-  default: {
-    Value L = evalExpr(B->LHS, F);
-    Value R = evalExpr(B->RHS, F);
-    if (L.Kind != Value::K::Int || R.Kind != Value::K::Int)
-      fail("unsupported", "invalid bitwise/shift operands");
-    switch (B->O) {
-    case BinaryExpr::Op::Rem:
-      if (R.I == 0)
-        fail("int-div-zero", "integer remainder by zero");
-      return Value::makeInt(L.I % R.I);
-    case BinaryExpr::Op::Shl: return Value::makeInt(L.I << (R.I & 63));
-    case BinaryExpr::Op::Shr: return Value::makeInt(L.I >> (R.I & 63));
-    case BinaryExpr::Op::BitAnd: return Value::makeInt(L.I & R.I);
-    case BinaryExpr::Op::BitOr: return Value::makeInt(L.I | R.I);
-    default: return Value::makeInt(L.I ^ R.I);
-    }
-  }
-  }
-}
-
-Value Interp::evalCast(const CastExpr *C, Frame &F) {
-  Value Sub = evalExpr(C->Sub, F);
-  const Type *From = C->Sub->type();
-  if (C->To->isPointer()) {
-    if (Sub.Kind == Value::K::Ptr)
-      return Sub;
-    fail("unsupported", "pointer casts are not supported by eval");
-  }
-  if (C->To->isFloating()) {
-    if (Sub.Kind == Value::K::Iv) {
-      if (C->To->kind() == Type::Kind::Float && From &&
-          From->kind() == Type::Kind::Double)
-        // ia_f32cast_f64: round outward to the float grid.
-        return Value::makeIv(Interval32::fromInterval(Sub.V).widen());
-      return Sub; // float<->double widening: intervals already double
-    }
-    if (Sub.Kind == Value::K::Int)
-      return Value::makeIv(
-          Interval::fromPoint(static_cast<double>(Sub.I)));
-    fail("unsupported", "invalid cast operand");
-  }
-  // Integer casts: emitted C applies the target width; mirror int.
-  if (Sub.Kind != Value::K::Int)
-    fail("unsupported", "cannot cast an interval to an integer");
-  if (C->To->kind() == Type::Kind::Int)
-    return Value::makeInt(static_cast<int>(Sub.I));
-  if (C->To->kind() == Type::Kind::UInt)
-    return Value::makeInt(
-        static_cast<long long>(static_cast<unsigned>(Sub.I)));
-  return Sub;
-}
-
-Value Interp::evalCall(const CallExpr *C, Frame &F) {
-  CalleeKind CK = classifyCallee(C->Callee);
-
-  if (CK == CalleeKind::MathFunction) {
-    if (C->Args.size() < mathOpArity(C->Math))
-      fail("bad-argument",
-           "wrong number of arguments to '" + C->Callee + "'");
-    Interval Arg = asInterval(evalExpr(C->Args[0], F));
-    // -O0 semantics: always the libm-backed kernels, never the _fast
-    // polynomial variants (those are -O1 rewrites).
-    switch (C->Math) {
-    case MathOp::Min:
-    case MathOp::Max: {
-      Interval Arg2 = asInterval(evalExpr(C->Args[1], F));
-      return Value::makeIv(C->Math == MathOp::Min ? iMin(Arg, Arg2)
-                                                  : iMax(Arg, Arg2));
-    }
-    case MathOp::Sqrt: return Value::makeIv(iSqrt(Arg));
-    case MathOp::Abs: return Value::makeIv(iAbs(Arg));
-    case MathOp::Floor: return Value::makeIv(iFloor(Arg));
-    case MathOp::Ceil: return Value::makeIv(iCeil(Arg));
-    case MathOp::Exp: return Value::makeIv(iExp(Arg));
-    case MathOp::Log: return Value::makeIv(iLog(Arg));
-    case MathOp::Sin: return Value::makeIv(iSin(Arg));
-    case MathOp::Cos: return Value::makeIv(iCos(Arg));
-    case MathOp::Tan: return Value::makeIv(iTan(Arg));
-    case MathOp::Atan: return Value::makeIv(iAtan(Arg));
-    case MathOp::Asin: return Value::makeIv(iAsin(Arg));
-    case MathOp::Acos: return Value::makeIv(iAcos(Arg));
-    case MathOp::None: break;
-    }
-    fail("unsupported",
-         "math function '" + C->Callee + "' has no interval kernel");
-  }
-
-  if (CK == CalleeKind::Intrinsic)
-    fail("unsupported",
-         "SIMD intrinsics are not supported by the eval tier; "
-         "compile ahead of time for vector kernels");
-  if (CK == CalleeKind::Allocation)
-    fail("unsupported", "allocation calls are not supported by eval");
-
-  const FunctionDecl *Callee = C->Fn;
-  if (!Callee || !Callee->Body)
-    fail("unsupported", "call to external function '" + C->Callee +
-                            "' cannot be evaluated in-process");
-  if (Callee->Params.size() != C->Args.size())
-    fail("bad-argument",
-         "wrong number of arguments to '" + C->Callee + "'");
-  std::vector<Value> Args;
-  Args.reserve(C->Args.size());
-  for (size_t I = 0; I < C->Args.size(); ++I) {
-    Value A = evalExpr(C->Args[I], F);
-    const Type *ArgTy = C->Args[I]->type();
-    if (ArgTy && ArgTy->isFloatingOrVector())
-      A = Value::makeIv(asInterval(A));
-    Args.push_back(std::move(A));
-  }
-  return callFunction(Callee, std::move(Args));
-}
-
-LValue Interp::evalLValue(const Expr *E, Frame &F) {
-  E = ignoreParens(E);
-  switch (E->kind()) {
-  case Expr::Kind::DeclRef: {
-    const auto *Ref = cast<DeclRefExpr>(E);
-    if (!Ref->Decl)
-      fail("unsupported", "assignment to undeclared name");
-    LValue L;
-    L.Kind = LValue::K::Slot;
-    L.Slot = &F.Slots[Ref->Decl->Slot];
-    return L;
-  }
-  case Expr::Kind::Index: {
-    const auto *I = cast<IndexExpr>(E);
-    Value Base = evalExpr(I->Base, F);
-    Value Idx = evalExpr(I->Idx, F);
-    if (Base.Kind != Value::K::Ptr || Idx.Kind != Value::K::Int)
-      fail("unsupported", "invalid array subscript");
-    LValue L;
-    L.Kind = LValue::K::Element;
-    L.Element = &element(Base.P, Idx.I);
-    return L;
-  }
-  case Expr::Kind::Unary: {
-    const auto *U = cast<UnaryExpr>(E);
-    if (U->O == UnaryExpr::Op::Deref) {
-      Value Sub = evalExpr(U->Sub, F);
-      if (Sub.Kind != Value::K::Ptr)
-        fail("unsupported", "dereference of a non-pointer value");
-      LValue L;
-      L.Kind = LValue::K::Element;
-      L.Element = &element(Sub.P, 0);
-      return L;
-    }
-    break;
-  }
-  default:
-    break;
-  }
-  fail("unsupported", "unsupported assignment target");
-}
-
-Value Interp::loadLValue(const LValue &L, const Type *Ty) {
-  if (L.Kind == LValue::K::Element)
-    return Value::makeIv(*L.Element);
-  if (L.Slot->Kind == Value::K::None) {
-    // Reading an uninitialized variable is UB in the AOT artifact; give
-    // compound assignment a deterministic typed error instead.
-    if (Ty && Ty->isFloating())
-      fail("unsupported", "read of uninitialized variable");
-    fail("unsupported", "read of uninitialized variable");
-  }
-  return *L.Slot;
-}
-
-void Interp::storeLValue(const LValue &L, const Value &V) {
-  if (L.Kind == LValue::K::Element) {
-    if (V.Kind != Value::K::Iv)
-      fail("unsupported", "invalid store to a double array element");
-    *L.Element = V.V;
-    return;
-  }
-  *L.Slot = V;
-}
-
-// --- statements ---
-
-void Interp::execDecl(const VarDecl *D, Frame &F) {
-  Value *S = &F.Slots[D->Slot];
-  if (D->Ty->isArray()) {
-    const Type *Elem = D->Ty->element();
-    if (!Elem->isFloating() || Elem->isArray())
-      fail("unsupported", "only 1-D double local arrays are supported");
-    F.LocalArrays.emplace_back(
-        static_cast<size_t>(D->Ty->arraySize()),
-        Interval::fromPoint(0.0));
-    PtrVal P;
-    P.Base = F.LocalArrays.back().data();
-    P.Size = static_cast<long long>(D->Ty->arraySize());
-    *S = Value::makePtr(P);
-    if (D->Init)
-      fail("unsupported", "array initializers are not supported");
-    return;
-  }
-  if (D->Ty->isSimdVector())
-    fail("unsupported", "SIMD vector locals are not supported by eval");
-  if (!D->Init) {
-    *S = Value();
-    if (D->Ty->isInteger())
-      S->Kind = Value::K::None; // uninitialized until first store
-    return;
-  }
-  Value Init = evalExpr(D->Init, F);
-  if (D->Ty->isFloatingOrVector())
-    *S = Value::makeIv(asInterval(Init));
-  else if (D->Ty->isPointer()) {
-    if (Init.Kind != Value::K::Ptr)
-      fail("unsupported", "invalid pointer initializer");
-    *S = Init;
-  } else {
-    if (Init.Kind != Value::K::Int)
-      fail("unsupported", "invalid integer initializer");
-    *S = Init;
-  }
-}
-
-Flow Interp::execIf(const IfStmt *S, Frame &F) {
-  if (!isTBoolExpr(S->Cond)) {
-    Value Cond = evalExpr(S->Cond, F);
-    if (cvtCond(Cond, "if"))
-      return execStmt(S->Then, F);
-    if (S->Else)
-      return execStmt(S->Else, F);
-    return Flow();
-  }
-
-  TBool Cond = asTBool(evalExpr(S->Cond, F));
-  if (!Opts.JoinBranches || !S->JoinSafe) {
-    // Exception policy: ia_cvt2bool_tb, which may signal.
-    if (Cond == TBool::Unknown)
-      fail("unknown-branch", "interval branch condition is unknown");
-    if (Cond == TBool::True)
-      return execStmt(S->Then, F);
-    if (S->Else)
-      return execStmt(S->Else, F);
-    return Flow();
-  }
-
-  // Join mode: run both branches on the unknown state and hull the
-  // results.
-  if (Cond == TBool::True)
-    return execStmt(S->Then, F);
-  if (Cond == TBool::False) {
-    if (S->Else)
-      return execStmt(S->Else, F);
-    return Flow();
-  }
-  // Saved holds the entry state, then (swapped) the Then results.
-  std::vector<Interval> Saved;
-  Saved.reserve(S->JoinTargets.size());
-  for (const VarDecl *V : S->JoinTargets) {
-    const Value &Slot = F.Slots[V->Slot];
-    if (Slot.Kind != Value::K::Iv)
-      fail("unsupported", "join target is not an initialized interval");
-    Saved.push_back(Slot.V);
-  }
-  execStmt(S->Then, F); // join-safe bodies cannot break/return
-  for (size_t I = 0; I < Saved.size(); ++I)
-    std::swap(F.Slots[S->JoinTargets[I]->Slot].V, Saved[I]);
-  if (S->Else)
-    execStmt(S->Else, F);
-  for (size_t I = 0; I < Saved.size(); ++I) {
-    Interval &V = F.Slots[S->JoinTargets[I]->Slot].V;
-    V = iHull(V, Saved[I]);
-  }
-  return Flow();
-}
-
-Flow Interp::execFor(const ForStmt *S, Frame &F) {
-  if (S->Init) {
-    if (const auto *DS = dynCast<DeclStmt>(S->Init)) {
-      for (const VarDecl *D : DS->Decls)
-        execDecl(D, F);
-    } else if (const auto *ES = dynCast<ExprStmt>(S->Init)) {
-      evalExpr(ES->E, F);
-    }
-  }
-
-  // Reduction accumulators: initialize with the current target
-  // enclosure before the loop, feed terms at the update statement,
-  // finalize after the loop.
-  const bool Reduce = Opts.EnableReductions && !S->Reductions.empty();
-  if (Reduce)
-    for (const ReductionSite *Site : S->Reductions)
-      F.Accs[Site->Index].init(asInterval(evalExpr(Site->Target, F)));
-
-  while (true) {
-    step();
-    if (S->Cond) {
-      Value Cond = evalExpr(S->Cond, F);
-      if (!cvtCond(Cond, "for"))
-        break;
-    }
-    Flow Fl = execStmt(S->Body, F);
-    // A return inside the loop skips the reduce finalization, exactly
-    // as the emitted code jumps past the post-loop assignment.
-    if (Fl.Kind == Flow::K::Return)
-      return Fl;
-    if (Fl.Kind == Flow::K::Break)
+void Machine::exec(const FunctionCode *Fn, Frame R, AnyReg &Out) {
+  const Insn *Code = Fn->Code.data();
+  const Insn *Pc = Code;
+  for (;;) {
+    const Insn &I = *Pc++;
+    Steps += I.W;
+    if (Steps >= Threshold)
+      slowStep();
+    switch (I.O) {
+    // --- control ---
+    case Op::Step:
       break;
-    if (S->Inc)
-      evalExpr(S->Inc, F);
-  }
-  if (Reduce)
-    for (const ReductionSite *Site : S->Reductions)
-      storeLValue(evalLValue(Site->Target, F),
-                  Value::makeIv(F.Accs[Site->Index].reduce()));
-  return Flow();
-}
-
-Flow Interp::execCompound(const CompoundStmt *S, Frame &F) {
-  for (const Stmt *Child : S->Body) {
-    Flow Fl = execStmt(Child, F);
-    if (Fl.Kind != Flow::K::Normal)
-      return Fl;
-  }
-  return Flow();
-}
-
-Flow Interp::execStmt(const Stmt *S, Frame &F) {
-  step();
-  switch (S->kind()) {
-  case Stmt::Kind::Compound:
-    return execCompound(cast<CompoundStmt>(S), F);
-  case Stmt::Kind::DeclStmt:
-    for (const VarDecl *D : cast<DeclStmt>(S)->Decls)
-      execDecl(D, F);
-    return Flow();
-  case Stmt::Kind::ExprStmt: {
-    const auto *ES = cast<ExprStmt>(S);
-    if (ES->Reduction && Opts.EnableReductions) {
-      // Reduction update: feed each term into the accumulator instead
-      // of executing the assignment. The update only runs inside its
-      // accumulation loop, which initialized the accumulator.
-      SumAccumulatorF64 &Acc = F.Accs[ES->Reduction->Index];
-      for (const ReductionTerm &T : ES->Reduction->Terms) {
-        Interval Term = asInterval(evalExpr(T.Term, F));
-        if (T.Negated)
-          Term = iNeg(Term);
-        Acc.accumulate(Term);
+    case Op::Jmp:
+      Pc = Code + I.A;
+      break;
+    case Op::JmpZ:
+      if (R.I[I.B] == 0)
+        Pc = Code + I.A;
+      break;
+    case Op::JmpNZ:
+      if (R.I[I.B] != 0)
+        Pc = Code + I.A;
+      break;
+    case Op::JmpCmp:
+      if (compare(static_cast<Cmp>(I.X), R.I[I.B], R.I[I.C]))
+        Pc = Code + I.A;
+      break;
+    case Op::CondTb: {
+      TBool C = R.T[I.B];
+      if (C == TBool::Unknown)
+        unknownAt(I.C);
+      if ((C == TBool::True) == (I.X != 0))
+        Pc = Code + I.A;
+      break;
+    }
+    case Op::IfTb: {
+      TBool C = R.T[I.B];
+      if (C == TBool::True)
+        break;
+      if (C == TBool::False) {
+        Pc = Code + I.A;
+        break;
       }
-      return Flow();
-    }
-    evalExpr(ES->E, F);
-    return Flow();
-  }
-  case Stmt::Kind::If:
-    return execIf(cast<IfStmt>(S), F);
-  case Stmt::Kind::For:
-    return execFor(cast<ForStmt>(S), F);
-  case Stmt::Kind::While: {
-    const auto *W = cast<WhileStmt>(S);
-    while (true) {
-      step();
-      if (!cvtCond(evalExpr(W->Cond, F), "while"))
+      // Join policy where the branch is join-safe; otherwise the
+      // translation's ia_cvt2bool_tb signals, surfaced as a typed error
+      // instead of the process-global UnknownBranchHandler.
+      if (I.C && (Flags & (1u << FlagJoin))) {
+        Pc = Code + I.C;
         break;
-      Flow Fl = execStmt(W->Body, F);
-      if (Fl.Kind == Flow::K::Return)
-        return Fl;
-      if (Fl.Kind == Flow::K::Break)
-        break;
+      }
+      fail("unknown-branch", "interval branch condition is unknown");
     }
-    return Flow();
-  }
-  case Stmt::Kind::Do: {
-    const auto *D = cast<DoStmt>(S);
-    while (true) {
-      step();
-      Flow Fl = execStmt(D->Body, F);
-      if (Fl.Kind == Flow::K::Return)
-        return Fl;
-      if (Fl.Kind == Flow::K::Break)
-        break;
-      if (!cvtCond(evalExpr(D->Cond, F), "do-while"))
-        break;
+    case Op::JmpUnlessFlag:
+      if (!(Flags & (1u << I.X)))
+        Pc = Code + I.A;
+      break;
+    case Op::Call: {
+      const CallSite &S = M.Calls[I.A];
+      const FunctionCode &Callee = M.Fns[S.Callee];
+      enterCall();
+      FrameStack::Mark Mk = Stack.mark();
+      Frame NF = newFrame(Callee);
+      for (size_t A = 0; A < Callee.Params.size(); ++A)
+        bind(Callee.Params[A], load(R, S.Args[A].first, S.Args[A].second),
+             NF);
+      Calls.push_back({Fn, Pc, R, S.Dst, Mk});
+      Fn = &Callee;
+      Code = Pc = Callee.Code.data();
+      R = NF;
+      break;
     }
-    return Flow();
-  }
-  case Stmt::Kind::Return: {
-    const auto *R = cast<ReturnStmt>(S);
-    Flow Fl;
-    Fl.Kind = Flow::K::Return;
-    if (R->Value) {
-      Value V = evalExpr(R->Value, F);
-      bool WantInterval =
-          R->Value->type() && R->Value->type()->isFloatingOrVector();
-      Fl.Ret = WantInterval ? Value::makeIv(asInterval(V)) : V;
-      Fl.HasRet = true;
+    case Op::RetIv:
+    case Op::RetAny:
+    case Op::RetNone: {
+      AnyReg V{};
+      if (I.O == Op::RetIv) {
+        V.K = Kind::Iv;
+        V.V = R.V[I.A];
+      } else if (I.O == Op::RetAny) {
+        V = R.Y[I.A];
+      }
+      --Depth;
+      if (Calls.empty()) {
+        Out = V;
+        return;
+      }
+      const Activation &A = Calls.back();
+      RetMode Mode = Fn->Ret;
+      Stack.release(A.Mark);
+      Fn = A.Fn;
+      Code = Fn->Code.data();
+      Pc = A.Resume;
+      R = A.Regs;
+      if (Mode == RetMode::Iv)
+        R.V[A.Dst] = V.V;
+      else if (Mode == RetMode::Any)
+        R.Y[A.Dst] = V;
+      Calls.pop_back();
+      break;
     }
-    return Fl;
+    case Op::Fail:
+      failWith(I.A);
+
+    // --- intervals ---
+    case Op::IvMov: R.V[I.A] = R.V[I.B]; break;
+    case Op::IvAdd: R.V[I.A] = iAdd(R.V[I.B], R.V[I.C]); break;
+    case Op::IvSub: R.V[I.A] = iSub(R.V[I.B], R.V[I.C]); break;
+    case Op::IvMul: R.V[I.A] = iMul(R.V[I.B], R.V[I.C]); break;
+    case Op::IvDiv: R.V[I.A] = iDiv(R.V[I.B], R.V[I.C]); break;
+    case Op::IvNeg: R.V[I.A] = iNeg(R.V[I.B]); break;
+    case Op::IvMin: R.V[I.A] = iMin(R.V[I.B], R.V[I.C]); break;
+    case Op::IvMax: R.V[I.A] = iMax(R.V[I.B], R.V[I.C]); break;
+    case Op::IvMath:
+      R.V[I.A] = math(static_cast<MathOp>(I.X), R.V[I.B]);
+      break;
+    case Op::IvF32:
+      R.V[I.A] = Interval32::fromInterval(R.V[I.B]).widen();
+      break;
+    case Op::IntToIv:
+      R.V[I.A] = Interval::fromPoint(static_cast<double>(R.I[I.B]));
+      break;
+    case Op::IvCmp:
+      R.T[I.A] = compare(static_cast<Cmp>(I.X), R.V[I.B], R.V[I.C]);
+      break;
+    case Op::IvSwap: std::swap(R.V[I.A], R.V[I.B]); break;
+    case Op::IvHull: R.V[I.A] = iHull(R.V[I.A], R.V[I.B]); break;
+
+    // --- integers ---
+    case Op::IntMov: R.I[I.A] = R.I[I.B]; break;
+    case Op::IntAdd:
+      R.I[I.A] = wrap(static_cast<unsigned long long>(R.I[I.B]) +
+                      static_cast<unsigned long long>(R.I[I.C]));
+      break;
+    case Op::IntSub:
+      R.I[I.A] = wrap(static_cast<unsigned long long>(R.I[I.B]) -
+                      static_cast<unsigned long long>(R.I[I.C]));
+      break;
+    case Op::IntMul:
+      R.I[I.A] = wrap(static_cast<unsigned long long>(R.I[I.B]) *
+                      static_cast<unsigned long long>(R.I[I.C]));
+      break;
+    case Op::IntBin:
+      R.I[I.A] = intOp(static_cast<IntOp>(I.X), R.I[I.B], R.I[I.C]);
+      break;
+    case Op::IntCmp:
+      R.I[I.A] = compare(static_cast<Cmp>(I.X), R.I[I.B], R.I[I.C]);
+      break;
+    case Op::IntNeg:
+      R.I[I.A] = wrap(0 - static_cast<unsigned long long>(R.I[I.B]));
+      break;
+    case Op::IntLNot: R.I[I.A] = R.I[I.B] == 0; break;
+    case Op::IntBitNot: R.I[I.A] = ~R.I[I.B]; break;
+    case Op::IntTrunc:
+      R.I[I.A] = I.X ? static_cast<long long>(static_cast<unsigned>(R.I[I.B]))
+                     : static_cast<int>(R.I[I.B]);
+      break;
+    case Op::IntIncDec: {
+      long long Old = R.I[I.B];
+      long long New = wrap(static_cast<unsigned long long>(Old) +
+                           ((I.X & 2) ? 1ull : ~0ull));
+      R.I[I.B] = New;
+      R.I[I.A] = (I.X & 1) ? New : Old;
+      break;
+    }
+    case Op::IntNZ: R.I[I.A] = R.I[I.B] != 0; break;
+
+    // --- TBools ---
+    case Op::TbMov: R.T[I.A] = R.T[I.B]; break;
+    case Op::TbNot: R.T[I.A] = tboolNot(R.T[I.B]); break;
+    case Op::TbAnd: R.T[I.A] = tboolAnd(R.T[I.B], R.T[I.C]); break;
+    case Op::TbOr: R.T[I.A] = tboolOr(R.T[I.B], R.T[I.C]); break;
+    case Op::IntToTb: R.T[I.A] = tboolFromBool(R.I[I.B] != 0); break;
+    case Op::TbCvt:
+      if (R.T[I.B] == TBool::Unknown)
+        unknownAt(I.C);
+      R.I[I.A] = R.T[I.B] == TBool::True;
+      break;
+
+    // --- pointers and memory ---
+    case Op::PtrMov: R.P[I.A] = R.P[I.B]; break;
+    case Op::PtrOff: {
+      PtrReg P = R.P[I.B];
+      unsigned long long D = static_cast<unsigned long long>(R.I[I.C]);
+      P.Off = wrap(static_cast<unsigned long long>(P.Off) + (I.X ? 0 - D : D));
+      R.P[I.A] = P;
+      break;
+    }
+    case Op::Index: {
+      const PtrReg &P = R.P[I.B];
+      R.V[I.A] = P.Base[checkedIndex(P, R.I[I.C])];
+      break;
+    }
+    case Op::Lea: R.I[I.A] = checkedIndex(R.P[I.B], R.I[I.C]); break;
+    case Op::LoadAt: R.V[I.A] = R.P[I.B].Base[R.I[I.C]]; break;
+    case Op::StoreAt: R.P[I.A].Base[R.I[I.B]] = R.V[I.C]; break;
+    case Op::AddrIv: R.P[I.A] = PtrReg{&R.V[I.B], 1, 0}; break;
+    case Op::AddrAt:
+      // A borrowed one-element view; AOT has the same UB edge.
+      R.P[I.A] = PtrReg{&R.P[I.B].Base[R.I[I.C]], 1, 0};
+      break;
+    case Op::ArrDecl: {
+      // A fresh zeroed array per execution of the declaration. The
+      // storage is the frame's: the first execution allocates it.
+      PtrReg &P = R.P[I.A];
+      long long N = R.I[I.B];
+      if (N < 0 || static_cast<unsigned long long>(N) >
+                       ~size_t(0) / sizeof(Interval))
+        throw std::bad_alloc();
+      if (!P.Base)
+        P.Base = static_cast<Interval *>(Stack.alloc(N * sizeof(Interval)));
+      std::fill_n(P.Base, N, Interval::fromPoint(0.0));
+      P.Size = N;
+      P.Off = 0;
+      break;
+    }
+
+    // --- reductions ---
+    case Op::AccInit: R.Acc[I.A].init(R.V[I.B]); break;
+    case Op::AccAdd:
+      R.Acc[I.A].accumulate(I.X ? iNeg(R.V[I.B]) : R.V[I.B]);
+      break;
+    case Op::AccReduce: R.V[I.A] = R.Acc[I.B].reduce(); break;
+
+    // --- tagged registers ---
+    case Op::Box: {
+      AnyReg A = load(R, static_cast<Kind>(I.X), I.B);
+      R.Y[I.A] = A;
+      break;
+    }
+    case Op::AnyMov: R.Y[I.A] = R.Y[I.B]; break;
+    case Op::AnyToIv: R.V[I.A] = anyToIv(R.Y[I.B], I.X); break;
+    case Op::AnyToTb: {
+      const AnyReg &A = R.Y[I.B];
+      if (A.K == Kind::Tb)
+        R.T[I.A] = A.B;
+      else if (A.K == Kind::Int)
+        R.T[I.A] = tboolFromBool(A.I != 0);
+      else
+        failWith(FailBadCondition);
+      break;
+    }
+    case Op::AnyCond: {
+      const AnyReg &A = R.Y[I.B];
+      if (A.K == Kind::Int) {
+        R.I[I.A] = A.I != 0;
+      } else if (A.K == Kind::Tb) {
+        if (A.B == TBool::Unknown)
+          unknownAt(I.C);
+        R.I[I.A] = A.B == TBool::True;
+      } else {
+        failWith(FailCondValue);
+      }
+      break;
+    }
+    case Op::AnyExpect: {
+      const AnyReg &A = R.Y[I.B];
+      Kind K = static_cast<Kind>(I.X);
+      if (A.K != K)
+        failWith(I.C);
+      if (K == Kind::Iv)
+        R.V[I.A] = A.V;
+      else if (K == Kind::Int)
+        R.I[I.A] = A.I;
+      else
+        R.P[I.A] = A.P;
+      break;
+    }
+    case Op::AnyIntCur: {
+      const AnyReg &A = R.Y[I.B];
+      if (A.K == Kind::None)
+        failWith(FailUninitRead);
+      if (A.K == Kind::Ptr)
+        failWith(FailPtrAssign);
+      R.I[I.A] = A.K == Kind::Int ? A.I : 0;
+      break;
+    }
+    case Op::AnyIntRhs: {
+      const AnyReg &A = R.Y[I.B];
+      if (A.K == Kind::Ptr)
+        failWith(FailPtrAssign);
+      if (A.K != Kind::Int && !I.X)
+        failWith(FailIntAssign);
+      R.I[I.A] = A.K == Kind::Int ? A.I : 0;
+      break;
+    }
+    case Op::AnyLoadIv:
+      if (R.Y[I.B].K == Kind::None)
+        failWith(FailUninitRead);
+      R.V[I.A] = anyToIv(R.Y[I.B], 0);
+      break;
+    case Op::AnyNeg: {
+      AnyReg A = R.Y[I.B];
+      if (A.K == Kind::Iv)
+        A.V = iNeg(A.V);
+      else if (A.K == Kind::Int)
+        A.I = wrap(0 - static_cast<unsigned long long>(A.I));
+      else
+        failWith(FailNegOperand);
+      R.Y[I.A] = A;
+      break;
+    }
+    case Op::AnyNot: {
+      AnyReg A = R.Y[I.B];
+      if (A.K == Kind::Tb)
+        A.B = tboolNot(A.B);
+      else if (A.K == Kind::Int)
+        A.I = A.I == 0;
+      else
+        failWith(FailNotOperand);
+      R.Y[I.A] = A;
+      break;
+    }
+    case Op::AnyArith: {
+      const AnyReg &L = R.Y[I.B], &Rt = R.Y[I.C];
+      IntOp Op = static_cast<IntOp>(I.X);
+      AnyReg Res{};
+      if (L.K == Kind::Ptr && Rt.K == Kind::Int &&
+          (Op == IntOp::Add || Op == IntOp::Sub)) {
+        Res.K = Kind::Ptr;
+        Res.P = L.P;
+        Res.P.Off = intOp(Op, L.P.Off, Rt.I);
+      } else if (L.K == Kind::Int && Rt.K == Kind::Int) {
+        Res.K = Kind::Int;
+        Res.I = intOp(Op, L.I, Rt.I);
+      } else {
+        failWith(FailIntArith);
+      }
+      R.Y[I.A] = Res;
+      break;
+    }
+    case Op::AnyIncDec: {
+      AnyReg &A = R.Y[I.B];
+      if (A.K != Kind::Int)
+        failWith(FailIncDec);
+      long long Old = A.I;
+      A.I = wrap(static_cast<unsigned long long>(Old) +
+                 ((I.X & 2) ? 1ull : ~0ull));
+      R.I[I.A] = (I.X & 1) ? A.I : Old;
+      break;
+    }
+    case Op::AnyAddrIv:
+      if (R.Y[I.B].K != Kind::Iv)
+        failWith(FailAddrOf);
+      R.P[I.A] = PtrReg{&R.Y[I.B].V, 1, 0};
+      break;
+    case Op::AnySwapV: std::swap(R.Y[I.A].V, R.V[I.B]); break;
+    case Op::AnyHullV: R.Y[I.A].V = iHull(R.Y[I.A].V, R.V[I.B]); break;
+    }
   }
-  case Stmt::Kind::Break: {
-    Flow Fl;
-    Fl.Kind = Flow::K::Break;
-    return Fl;
-  }
-  case Stmt::Kind::Continue: {
-    Flow Fl;
-    Fl.Kind = Flow::K::Continue;
-    return Fl;
-  }
-  case Stmt::Kind::Null:
-    return Flow();
-  }
-  return Flow();
 }
 
-Value Interp::callFunction(const FunctionDecl *Fn, std::vector<Value> Args) {
-  if (++Depth > Opts.MaxCallDepth) {
-    --Depth;
-    fail("recursion-limit", "user-function call depth exceeded");
-  }
-  // Strided deadline poll at call entry: recursion that makes little
-  // per-frame progress still hits a cancellation point every few
-  // frames without taxing call-light requests with a clock read.
-  if (Opts.HasDeadline && ++CallsSincePoll >= DeadlineCheckCalls) {
-    CallsSincePoll = 0;
-    checkDeadlineNow();
-  }
-  // Harden prologue: a dirty FP environment on entry poisons an
-  // interval-returning function to the whole line. The serve layer
-  // already repaired the environment; we only honor the verdict here,
-  // and only at the outermost frame (callees run under the now-sound
-  // environment, like AOT code whose igen_fenv_check repaired on the
-  // way in).
-  if (Opts.PoisonedEntry && Depth == 1 && Fn->RetTy->isFloating()) {
-    --Depth;
-    return Value::makeIv(Interval::entire());
-  }
-
-  Frame F;
-  F.Slots.resize(Fn->NumSlots);
-  if (Opts.EnableReductions)
-    F.Accs.resize(Fn->Lowering->Reductions.Sites.size());
-  for (size_t I = 0; I < Fn->Params.size(); ++I) {
-    const VarDecl *P = Fn->Params[I];
-    Value *S = &F.Slots[P->Slot];
-    Value &A = Args[I];
-    if (P->HasTolerance) {
-      // The emitted body only reads the shadow _a = ia_set_tol(a, TolUp),
-      // so the slot holds the widened interval directly.
-      if (A.Kind != Value::K::Iv || !A.V.isPoint())
-        fail("bad-argument", "tolerance parameter '" + P->Name +
-                                 "' takes a point value");
-      *S = Value::makeIv(iSetTol(A.V.Hi, P->TolUp));
-      continue;
-    }
-    if (P->Ty->isSimdVector())
-      fail("unsupported", "SIMD vector parameters are not supported");
-    if (P->Ty->isFloating()) {
-      if (A.Kind != Value::K::Iv)
-        fail("bad-argument",
-             "parameter '" + P->Name + "' takes an interval");
-      *S = A;
-    } else if (P->Ty->isInteger()) {
-      if (A.Kind != Value::K::Int)
-        fail("bad-argument",
-             "parameter '" + P->Name + "' takes an integer");
-      *S = A;
-    } else if (P->Ty->isPointer() || P->Ty->isArray()) {
-      if (A.Kind != Value::K::Ptr)
-        fail("bad-argument",
-             "parameter '" + P->Name + "' takes an array");
-      *S = A;
-    } else {
-      fail("unsupported", "unsupported parameter type for '" + P->Name +
-                              "'");
-    }
-  }
-
-  Flow Fl = execCompound(Fn->Body, F);
-  --Depth;
-
-  if (Fl.Kind == Flow::K::Return && Fl.HasRet)
-    return Fl.Ret;
-  if (Fn->RetTy->isFloating())
-    // Falling off the end of a value-returning function is UB in C;
-    // surface it as a typed error instead of an indeterminate value.
-    fail("unsupported",
-         "function '" + Fn->Name + "' returned without a value");
-  return Value();
-}
-
-EvalResult Interp::run(const std::string &Function,
-                       const std::vector<EvalArg> &Args) {
+EvalResult Machine::run(const std::string &Function,
+                        const std::vector<EvalArg> &Args) {
   EvalResult R;
   try {
-    const FunctionDecl *Fn = Prog.Ast->TU.findFunction(Function);
-    if (!Fn || !Fn->Body)
+    const FunctionCode *Fn = M.find(Function);
+    if (!Fn)
       fail("no-such-function",
            "no defined function '" + Function + "' in this program");
     if (Fn->Params.size() != Args.size())
@@ -1027,45 +759,58 @@ EvalResult Interp::run(const std::string &Function,
                std::to_string(Fn->Params.size()) + " arguments, got " +
                std::to_string(Args.size()));
 
-    // Marshal the wire arguments; array arguments are copied into the
-    // result up front and mutated in place, so outputs fall out for
-    // free and the caller's request object stays untouched.
-    std::vector<Value> CallArgs;
-    std::vector<size_t> ArrayIndex(Args.size(), SIZE_MAX);
-    for (size_t I = 0; I < Args.size(); ++I) {
-      const EvalArg &A = Args[I];
-      switch (A.K) {
-      case EvalArg::Kind::Scalar:
-        CallArgs.push_back(Value::makeIv(A.Scalar));
-        break;
-      case EvalArg::Kind::Int:
-        CallArgs.push_back(Value::makeInt(A.IntValue));
-        break;
-      case EvalArg::Kind::Tolerance:
-        CallArgs.push_back(
-            Value::makeIv(Interval::fromPoint(A.Point)));
-        break;
-      case EvalArg::Kind::Array: {
-        ArrayIndex[I] = R.ArrayOutputs.size();
+    // Array arguments are copied into the result up front and mutated in
+    // place, so outputs fall out for free and the caller's request
+    // object stays untouched.
+    for (const EvalArg &A : Args)
+      if (A.K == EvalArg::Kind::Array)
         R.ArrayOutputs.push_back(A.Elements);
-        PtrVal P;
-        P.Base = R.ArrayOutputs.back().data();
-        P.Size = static_cast<long long>(R.ArrayOutputs.back().size());
-        CallArgs.push_back(Value::makePtr(P));
-        break;
-      }
-      }
-    }
-    // ArrayOutputs must not reallocate once pointers are taken.
-    for (size_t I = 0; I < Args.size(); ++I)
-      if (ArrayIndex[I] != SIZE_MAX)
-        CallArgs[I].P.Base = R.ArrayOutputs[ArrayIndex[I]].data();
 
-    Value Ret = callFunction(Fn, std::move(CallArgs));
-    if (Ret.Kind == Value::K::Iv) {
+    enterCall();
+    // Harden prologue: a dirty FP environment on entry poisons an
+    // interval-returning function to the whole line. The serve layer
+    // already repaired the environment; only the outermost frame honors
+    // the verdict (callees run under the now-sound environment, like AOT
+    // code whose igen_fenv_check repaired on the way in).
+    AnyReg Ret{};
+    if (Opts.PoisonedEntry && Fn->ReturnsFloating) {
+      --Depth;
+      Ret.K = Kind::Iv;
+      Ret.V = Interval::entire();
+    } else {
+      Frame F = newFrame(*Fn);
+      size_t Array = 0;
+      for (size_t I = 0; I < Args.size(); ++I) {
+        const EvalArg &A = Args[I];
+        AnyReg V{};
+        switch (A.K) {
+        case EvalArg::Kind::Scalar:
+          V.K = Kind::Iv;
+          V.V = A.Scalar;
+          break;
+        case EvalArg::Kind::Int:
+          V.K = Kind::Int;
+          V.I = A.IntValue;
+          break;
+        case EvalArg::Kind::Tolerance:
+          V.K = Kind::Iv;
+          V.V = Interval::fromPoint(A.Point);
+          break;
+        case EvalArg::Kind::Array: {
+          std::vector<Interval> &Out = R.ArrayOutputs[Array++];
+          V.K = Kind::Ptr;
+          V.P = PtrReg{Out.data(), static_cast<long long>(Out.size()), 0};
+          break;
+        }
+        }
+        bind(Fn->Params[I], V, F);
+      }
+      exec(Fn, F, Ret);
+    }
+    if (Ret.K == Kind::Iv) {
       R.HasReturn = true;
       R.Return = Ret.V;
-    } else if (Ret.Kind == Value::K::Int) {
+    } else if (Ret.K == Kind::Int) {
       R.HasReturn = true;
       R.ReturnIsInt = true;
       R.ReturnInt = Ret.I;
@@ -1098,5 +843,10 @@ EvalResult igen::server::evalFunction(const InMemoryProgram &Prog,
                "tier; use the emitted C artifact"};
     return R;
   }
-  return Interp(Prog, Opts).run(Function, Args);
+  if (!Prog.Eval) {
+    EvalResult R;
+    R.Error = {"unsupported", "program has no eval code"};
+    return R;
+  }
+  return Machine(*Prog.Eval, Opts).run(Function, Args);
 }

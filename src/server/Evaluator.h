@@ -1,36 +1,48 @@
-//===- Evaluator.h - AST-walking interval evaluator -------------*- C++ -*-===//
+//===- Evaluator.h - Serve-mode interval evaluator --------------*- C++ -*-===//
 //
 // Part of the IGen reproduction. BSD 3-Clause license.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The serve-mode execution tier: interprets a type-checked IGen AST
-/// directly against src/interval/, with no C compiler round-trip. The
-/// interpreter executes the *naive* translation — what the transform
-/// emits at `-O0 --target=ss` — operation for operation: every float
-/// expression is an igen::Interval, every float comparison a TBool.
-/// It makes no lowering decision of its own: constant enclosures
-/// (Section IV-B), the upward-widened tolerance shadows (IV-C), join
-/// safety and targets, math callees and reduction sites (VI-B) come
-/// from transform/LoweringRules.h, computed once per program at compile
-/// time and stored on the AST together with Sema's callee and frame-slot
-/// resolution. Because both paths compose the same pure interval
+/// The serve-mode execution tier: runs a compiled program's functions
+/// against src/interval/, with no C compiler round-trip. It executes the
+/// *naive* translation — what the transform emits at `-O0 --target=ss` —
+/// operation for operation: every float expression is an igen::Interval,
+/// every float comparison a TBool.
+///
+/// Nothing is decided per request. compileToProgram lowers each function
+/// once into flat, slot-resolved register code (transform/EvalCode.h):
+/// operand categories, constant enclosures (Section IV-B), upward-widened
+/// tolerance shadows (IV-C), join targets and reduction sites (VI-B) are
+/// fixed there, and this executor is a single dispatch loop over typed
+/// register files. Because both paths compose the same pure interval
 /// operations in the same order under FE_UPWARD, eval results are
 /// bit-identical to AOT-compiled `-O0 --target=ss` output
 /// (ExecServeCompareTest pins this).
 ///
-/// The -O1 rewrites (sign-specialized mul/div, FMA fusion, CSE/hoist,
-/// _fast poly kernels) are value-changing-but-still-sound, so the
-/// interpreter deliberately does not replicate them; a request that
-/// asks for opt_level > 0 is still answered with the -O0 semantics and
-/// says so in the response.
+/// Step weights: each instruction carries the number of evaluator steps
+/// (one per expression and statement of the source, one per loop
+/// iteration) that precede its effect, so OpsExecuted, the step limit
+/// and the deadline-poll cadence count source-level work, not
+/// instructions.
 ///
-/// Anything outside the interpretable subset (double-double precision,
-/// SIMD vectors, external calls, allocation) produces a *typed* error —
-/// never an abort — so a hostile or unlucky request cannot take the
-/// daemon down. All state is per-call; the evaluator is re-entrant and
-/// safe to run concurrently on many threads against one shared AST.
+/// Lazy failures: anything outside the evaluable subset (double-double
+/// precision, SIMD vectors, external calls, allocation) lowers to a Fail
+/// instruction where evaluation would reach it, so it produces a *typed*
+/// error — never an abort — and only when executed: an unsupported
+/// construct on a branch that is not taken costs nothing. A hostile or
+/// unlucky request cannot take the daemon down.
+///
+/// The -O1 rewrites (sign-specialized mul/div, FMA fusion, CSE/hoist,
+/// _fast poly kernels) are value-changing-but-still-sound, so the tier
+/// deliberately does not replicate them; a request that asks for
+/// opt_level > 0 is still answered with the -O0 semantics and says so in
+/// the response.
+///
+/// All state is per call (registers live on a per-request stack); the
+/// evaluator is re-entrant and safe to run concurrently on many threads
+/// against one shared program.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -66,7 +78,7 @@ struct EvalArg {
 };
 
 /// Typed evaluation failure. Codes are stable protocol vocabulary:
-///   unsupported        construct outside the interpretable subset
+///   unsupported        construct outside the evaluable subset
 ///   unknown-branch     a branch condition evaluated to TBool::Unknown
 ///   bad-argument       argument count/shape does not match the signature
 ///   no-such-function   the cached program has no such defined function
@@ -91,7 +103,8 @@ struct EvalResult {
   long long ReturnInt = 0;
   /// Post-call contents of every Array argument, in argument order.
   std::vector<std::vector<Interval>> ArrayOutputs;
-  /// Interval operations executed (profile counter food).
+  /// Evaluator steps executed: one per expression and statement of the
+  /// source evaluated, one per loop iteration (profile counter food).
   unsigned long long OpsExecuted = 0;
 };
 
@@ -109,14 +122,13 @@ struct EvalOptions {
   bool PoisonedEntry = false;
   /// Reduction transformation (loops marked `#pragma igen reduce`).
   bool EnableReductions = false;
-  /// Abort interpretation after this many executed operations.
+  /// Abort evaluation after this many executed steps.
   unsigned long long StepLimit = 50u * 1000u * 1000u;
   /// Maximum user-function call depth.
   unsigned MaxCallDepth = 128;
-  /// Wall-clock deadline (monotonic). When HasDeadline, the interpreter
-  /// polls the clock at call entries and (amortized, every few hundred
-  /// ops) at loop back-edges, yielding a typed "deadline-exceeded"
-  /// error. Disabled requests pay one integer compare per op, nothing
+  /// Wall-clock deadline (monotonic). When HasDeadline, the evaluator
+  /// polls the clock at call entries and (amortized, every 512 steps),
+  /// yielding a typed "deadline-exceeded" error. Disabled requests pay one integer compare per op, nothing
   /// more — measured in bench/serve_bench's deadline rows.
   bool HasDeadline = false;
   std::chrono::steady_clock::time_point Deadline{};

@@ -1977,8 +1977,9 @@ void Transformer::emitFunctionImpl(FunctionDecl *F,
     // parameters, and on blowup the dd clone re-executes from the entry
     // state. Promotion to ddi is exact, so both tiers start from
     // bit-identical intervals (what makes movability analysis possible).
+    // An immovable region never re-executes, so it takes no snapshot.
     std::string Args;
-    for (size_t I = 0; I < F->Params.size(); ++I) {
+    for (size_t I = 0; TierMovable && I < F->Params.size(); ++I) {
       VarDecl *P = F->Params[I];
       if (I)
         Args += ", ";

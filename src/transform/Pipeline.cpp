@@ -8,6 +8,7 @@
 
 #include "frontend/Parser.h"
 #include "frontend/Sema.h"
+#include "transform/EvalCode.h"
 #include "transform/LoweringRules.h"
 
 using namespace igen;
@@ -49,6 +50,8 @@ igen::compileToProgram(std::string_view Source, const TransformOptions &Opts,
   Prog->EmittedC = transformToIntervals(*Prog->Ast, Diags, Opts, SitesOut);
   if (Diags.hasErrors())
     return Fail(PipelineStage::Transform);
+  if (Opts.Prec != TransformOptions::Precision::DoubleDouble)
+    Prog->Eval = evalcode::lowerForEval(*Prog->Ast); // the serve tier's code
   if (Cancelled())
     return Fail(PipelineStage::Cancelled);
   return Prog;

@@ -27,6 +27,9 @@
 namespace igen {
 
 class ASTContext;
+namespace evalcode {
+struct EvalModule;
+}
 
 /// Pipeline stage that produced the first error, for callers (the
 /// driver) that map failures to distinct exit codes. Cancelled means a
@@ -41,14 +44,16 @@ enum class PipelineStage { None, Parse, Sema, Transform, Cancelled };
 using PipelineCancelFn = std::function<bool()>;
 
 /// A fully compiled program kept in memory: the type-checked AST (owned,
-/// so references into it stay valid for the lifetime of this object)
-/// plus the emitted interval C text. This is the re-entrant pipeline
-/// product the serve mode caches and the AST-walking evaluator executes;
-/// the one-shot CLI only ever needs \c EmittedC.
+/// so references into it stay valid for the lifetime of this object),
+/// the emitted interval C text and, for f64 programs, the flat register
+/// code the serve evaluator executes (transform/EvalCode.h). This is the
+/// re-entrant pipeline product the serve mode caches; the one-shot CLI
+/// only ever needs \c EmittedC.
 struct InMemoryProgram {
   std::unique_ptr<ASTContext> Ast;
   std::string EmittedC;
   TransformOptions Opts;
+  std::unique_ptr<const evalcode::EvalModule> Eval;
 
   InMemoryProgram();
   ~InMemoryProgram();

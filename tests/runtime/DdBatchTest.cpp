@@ -59,9 +59,10 @@ std::vector<DdInterval> randomDdIntervals(test::Rng &R, size_t N) {
 
 bool sameBits(const std::vector<DdInterval> &A,
               const std::vector<DdInterval> &B) {
+  // Empty vectors may have null data(), which memcmp must not see.
   return A.size() == B.size() &&
-         std::memcmp(A.data(), B.data(), A.size() * sizeof(DdInterval)) ==
-             0;
+         (A.empty() || std::memcmp(A.data(), B.data(),
+                                   A.size() * sizeof(DdInterval)) == 0);
 }
 
 //===----------------------------------------------------------------------===//

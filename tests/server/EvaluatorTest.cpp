@@ -1,10 +1,12 @@
-//===- EvaluatorTest.cpp - AST-walking interval evaluator tests ---------------===//
+//===- EvaluatorTest.cpp - Serve-mode interval evaluator tests ----------------===//
 //
 // Part of the IGen reproduction. BSD 3-Clause license.
 //
 //===----------------------------------------------------------------------===//
 
 #include "server/Evaluator.h"
+
+#include "EvalGoldens.h"
 
 #include "interval/Rounding.h"
 #include "transform/Pipeline.h"
@@ -272,6 +274,14 @@ TEST(Evaluator, DoubleDoubleProgramsAreRejectedTyped) {
   EvalResult R = evalFunction(*P, "f", {point(1.0)}, {});
   ASSERT_FALSE(R.Ok);
   EXPECT_EQ(R.Error.Code, "unsupported");
+}
+
+TEST(Evaluator, PinnedGoldens) {
+  // Exact return bits, array bits, ops counts and typed errors, recorded
+  // from the evaluator at the time the goldens were written.
+  for (const evalgolden::GoldenCase &C : evalgolden::GoldenCases)
+    EXPECT_EQ(evalgolden::runCase(C, IGEN_INPUTS_DIR), C.Expect)
+        << C.Fn << "(" << C.Args << ") [" << C.Opts << "]";
 }
 
 } // namespace

@@ -7,7 +7,7 @@
 // The dual-path soundness test: every kernel from the Table V suite is
 // (a) compiled ahead-of-time by the igen driver at build time (-O0
 // --target=ss, linked into this binary) and (b) compiled in memory and
-// run through the serve-mode AST-walking evaluator. For every sampled
+// run through the serve-mode evaluator. For every sampled
 // input the two paths must agree BIT-IDENTICALLY on both interval
 // endpoints — the daemon's answers are the compiler's answers, not an
 // approximation of them.
@@ -45,6 +45,12 @@ f64i rk_three(f64i x, f64i y);
 f64i rk_tol(f64i x);
 f64i rk_fmath(f64i a, f64i b);
 f64i rk_narrow(f64i x);
+// The eval-scalar benchmark kernels (ScalarkTu.cpp).
+f64i wl_newton(f64i a, f64i x0, int n);
+f64i wl_henon(f64i x0, f64i y0, int n, int m);
+f64i wl_piece(f64i x, int n);
+f64i wl_elem(f64i x, int n);
+f64i wl_red(f64i x, f64i h, int n);
 
 namespace {
 
@@ -83,19 +89,22 @@ std::shared_ptr<const InMemoryProgram> compileInput(const char *File,
 
 class ServeCompare : public ::testing::Test {
 protected:
-  static std::shared_ptr<const InMemoryProgram> Kernels, Trig, Join, Rules;
+  static std::shared_ptr<const InMemoryProgram> Kernels, Trig, Join, Rules,
+      Scalar;
 
   static void SetUpTestSuite() {
     Kernels = compileInput("kernels.c", /*Reductions=*/true, /*Join=*/false);
     Trig = compileInput("trig.c", false, false);
     Join = compileInput("joink.c", false, /*Join=*/true);
     Rules = compileInput("rulesk.c", false, /*Join=*/true);
+    Scalar = compileInput("scalark.c", /*Reductions=*/true, /*Join=*/true);
   }
   static void TearDownTestSuite() {
     Kernels.reset();
     Trig.reset();
     Join.reset();
     Rules.reset();
+    Scalar.reset();
   }
 
   RoundUpwardScope Up;
@@ -135,6 +144,7 @@ std::shared_ptr<const InMemoryProgram> ServeCompare::Kernels;
 std::shared_ptr<const InMemoryProgram> ServeCompare::Trig;
 std::shared_ptr<const InMemoryProgram> ServeCompare::Join;
 std::shared_ptr<const InMemoryProgram> ServeCompare::Rules;
+std::shared_ptr<const InMemoryProgram> ServeCompare::Scalar;
 
 TEST_F(ServeCompare, PolyBitIdentical) {
   for (int I = 0; I < 500; ++I) {
@@ -334,6 +344,48 @@ TEST_F(ServeCompare, ToleranceLiteralMathAndCastBitIdentical) {
                                     {scalarArg(A), scalarArg(B)})));
     EXPECT_TRUE(bitIdentical(::rk_narrow(A),
                              served(*Rules, "rk_narrow", {scalarArg(A)})));
+  }
+}
+
+TEST_F(ServeCompare, BenchmarkScalarKernelsBitIdentical) {
+  // The eval-scalar workload's kernels at its loop lengths, on point and
+  // interval inputs; piece's inputs straddle its branch so the join path
+  // runs, red runs its loop under the reductions option.
+  for (int I = 0; I < 40; ++I) {
+    double A0 = uniform(1.0, 4.0);
+    Interval A = Interval::fromEndpoints(A0, A0 * (1 + uniform(0, 1e-6)));
+    Interval X0 = Interval::fromPoint(1.0);
+    EXPECT_TRUE(bitIdentical(
+        wl_newton(A, X0, 300),
+        served(*Scalar, "newton", {scalarArg(A), scalarArg(X0), intArg(300)})));
+
+    double H0 = uniform(-0.2, 0.2), H1 = uniform(-0.2, 0.2);
+    Interval HX = Interval::fromEndpoints(H0, H0 + uniform(0, 1e-9));
+    Interval HY = Interval::fromPoint(H1);
+    EXPECT_TRUE(bitIdentical(
+        wl_henon(HX, HY, 24, 24),
+        served(*Scalar, "henon",
+               {scalarArg(HX), scalarArg(HY), intArg(24), intArg(24)})));
+
+    double P0 = uniform(0.2, 1.0);
+    Interval PX = I % 2 ? Interval::fromPoint(P0)
+                        : Interval::fromEndpoints(P0, P0 * 1.03);
+    EXPECT_TRUE(bitIdentical(wl_piece(PX, 400),
+                             served(*Scalar, "piece",
+                                    {scalarArg(PX), intArg(400)})));
+
+    double E0 = uniform(0.1, 2.0);
+    Interval EX = Interval::fromEndpoints(E0, E0 * (1 + uniform(0, 1e-4)));
+    EXPECT_TRUE(bitIdentical(wl_elem(EX, 150),
+                             served(*Scalar, "elem",
+                                    {scalarArg(EX), intArg(150)})));
+
+    double R0 = uniform(0.1, 1.0);
+    Interval RX = Interval::fromEndpoints(R0, R0 * (1 + uniform(0, 1e-4)));
+    Interval RH = Interval::fromPoint(0.0009765625);
+    EXPECT_TRUE(bitIdentical(
+        wl_red(RX, RH, 1500),
+        served(*Scalar, "red", {scalarArg(RX), scalarArg(RH), intArg(1500)})));
   }
 }
 
