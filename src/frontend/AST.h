@@ -35,6 +35,12 @@ struct FunctionLowering;
 struct ReductionSite;
 enum class MathOp : unsigned char;
 
+/// Value category of an expression in the interval translation (Section
+/// IV-B): a plain C value (integers, pointers), an interval (f64i/ddi or
+/// a vector of intervals), or a three-valued TBool from an interval
+/// comparison.
+enum class ValueCat : unsigned char { Plain, Interval, TBool };
+
 //===----------------------------------------------------------------------===//
 // Expressions
 //===----------------------------------------------------------------------===//
@@ -60,6 +66,10 @@ public:
   /// The type computed by Sema (null before type checking).
   const Type *type() const { return Ty; }
   void setType(const Type *T) { Ty = T; }
+
+  /// Lowering fact (annotateLowering): the category both back ends give
+  /// this expression's value.
+  ValueCat Cat = ValueCat::Plain;
 
 protected:
   Expr(Kind K, SourceLoc Loc) : K(K), Loc(Loc) {}
@@ -480,6 +490,9 @@ public:
   TranslationUnit TU;
   /// Set once annotateLowering() has run over TU.
   bool Lowered = false;
+  /// Outcome of checkLoweringSubset() per target precision (f64, dd):
+  /// 0 unchecked, 1 accepted, 2 rejected.
+  unsigned char SubsetChecked[2] = {0, 0};
 
 private:
   struct HolderBase {

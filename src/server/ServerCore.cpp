@@ -663,7 +663,6 @@ std::string ServerCore::dispatch(std::string_view Frame,
       for (const std::string &F : definedFunctions(*Prog))
         W.value(std::string_view(F));
       W.endArray();
-      W.field("emitted_bytes", (uint64_t)Prog->EmittedC.size());
       W.endObject();
       IsError = false;
       return W.take();

@@ -15,12 +15,15 @@
 ///
 ///   {"op":"compile","source":"...","options":{...}}
 ///     -> {"ok":true,"handle":"<16 hex>","cached":bool,
-///         "functions":[...],"emitted_bytes":N}
+///         "functions":[...]}
 ///     Options: precision ("f64"|"dd"), target ("sv"|"ss"), reductions,
 ///     batch_loops, branch ("exception"|"join"), opt_level, profile,
-///     tier, harden, module. The request is a transaction: failures
-///     report {code:"parse-error"|"sema-error"|"transform-error",
-///     stage, diagnostics:[...]} and leave no daemon state behind.
+///     tier, harden, module. The compile runs the pipeline's front half
+///     and the eval lowering (compileToProgram); it prints no C. The
+///     request is a transaction: failures report
+///     {code:"parse-error"|"sema-error"|"transform-error", stage,
+///     diagnostics:[...]} (transform-error: the IGen subset check,
+///     transform/LoweringRules.h) and leave no daemon state behind.
 ///
 ///   {"op":"eval","handle":"...","function":"...","args":[...],
 ///    "options":{...}}

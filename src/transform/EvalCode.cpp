@@ -77,9 +77,6 @@ const Failure &EvalModule::failure(uint32_t Idx) const {
       {"unsupported", "invalid bitwise/shift operands"},
       {"unsupported", "invalid comparison operands"},
       {"unsupported", "invalid operand to '~'"},
-      {"unsupported", "comparisons of SIMD vectors are not supported"},
-      {"unsupported", "interval-dependent '?:' conditions are not "
-                      "supported; rewrite as an if statement"},
       {"unsupported", "SIMD intrinsics are not supported by the eval tier; "
                       "compile ahead of time for vector kernels"},
       {"unsupported", "allocation calls are not supported by eval"},
@@ -110,22 +107,8 @@ constexpr uint32_t NoReg = ~0u;
 
 bool isFloatOrVec(const Type *T) { return T && T->isFloatingOrVector(); }
 
-/// The -O0 translation's TBool category: float comparisons, logical ops
-/// over them, and their negations.
-bool isTBoolExpr(const Expr *E) {
-  E = ignoreParens(E);
-  if (const auto *B = dynCast<BinaryExpr>(E)) {
-    if (B->isComparison())
-      return isFloatOrVec(B->LHS->type()) || isFloatOrVec(B->RHS->type());
-    if (B->O == BinaryExpr::Op::LAnd || B->O == BinaryExpr::Op::LOr)
-      return isTBoolExpr(B->LHS) || isTBoolExpr(B->RHS);
-    return false;
-  }
-  if (const auto *U = dynCast<UnaryExpr>(E))
-    if (U->O == UnaryExpr::Op::LogicalNot)
-      return isTBoolExpr(U->Sub);
-  return false;
-}
+/// The TBool value category (LoweringRules.h).
+bool isTBool(const Expr *E) { return E->Cat == ValueCat::TBool; }
 
 Cmp cmpOf(BinaryExpr::Op O) {
   switch (O) {
@@ -177,21 +160,28 @@ struct ModuleFacts {
   }
 };
 
-void scanReturns(const Stmt *S, bool &AllFloat, bool &AnyValue) {
+/// Whether `return` converts its value to an interval: in a floating
+/// function, or when the value is one (as the emitted C).
+bool returnsInterval(const FunctionDecl *F, const ReturnStmt *R) {
+  return isFloatOrVec(F->RetTy) || isFloatOrVec(R->Value->type());
+}
+
+void scanReturns(const FunctionDecl *F, const Stmt *S, bool &AllFloat,
+                 bool &AnyValue) {
   if (const auto *R = dynCast<ReturnStmt>(S)) {
     AnyValue |= R->Value != nullptr;
-    AllFloat &= R->Value && isFloatOrVec(R->Value->type());
+    AllFloat &= R->Value && returnsInterval(F, R);
   }
   forEachChild(
       S, [](Expr *) {},
-      [&](Stmt *C) { scanReturns(C, AllFloat, AnyValue); });
+      [&](Stmt *C) { scanReturns(F, C, AllFloat, AnyValue); });
 }
 
 /// Iv when every return yields an interval and falling off the end
 /// fails; None when no return carries a value; Any otherwise.
 RetMode retModeOf(const FunctionDecl *F) {
   bool AllFloat = true, AnyValue = false;
-  scanReturns(F->Body, AllFloat, AnyValue);
+  scanReturns(F, F->Body, AllFloat, AnyValue);
   if (F->RetTy->isFloating() && AllFloat)
     return RetMode::Iv;
   if (!F->RetTy->isFloating() && !AnyValue)
@@ -571,7 +561,7 @@ void FnLowering::prescan(const Stmt *S) {
         intConst(D->Ty->arraySize());
     }
   if (const auto *If = dynCast<IfStmt>(S))
-    if (If->JoinSafe && isTBoolExpr(If->Cond))
+    if (If->JoinSafe && isTBool(If->Cond))
       JoinFlag.push_back({If, 0});
   forEachChild(
       S, [&](const Expr *E) { prescan(E); },
@@ -902,7 +892,7 @@ Val FnLowering::binary(const BinaryExpr *B, uint32_t Hint) {
   case BinaryExpr::Op::LAnd:
   case BinaryExpr::Op::LOr: {
     bool And = B->O == BinaryExpr::Op::LAnd;
-    if (isTBoolExpr(B->LHS) || isTBoolExpr(B->RHS)) {
+    if (isTBool(B)) {
       // ia_and_tb/ia_or_tb are plain calls: both operands evaluate.
       Val A = asTb(expr(B->LHS));
       if (A.K == Kind::None)
@@ -1018,10 +1008,7 @@ Val FnLowering::compare(const BinaryExpr *B, Val L, Val R) {
     emit(Op::IntCmp, X, Out.Reg, L.Reg, R.Reg);
     return Out;
   }
-  if ((B->LHS->type() && B->LHS->type()->isSimdVector()) ||
-      (B->RHS->type() && B->RHS->type()->isSimdVector()))
-    return fail(FailSimdCompare);
-  Val A = asIv(L);
+  Val A = asIv(L); // SIMD vectors: rejected by checkLoweringSubset
   if (A.K == Kind::None)
     return A;
   Val C = asIv(R);
@@ -1065,19 +1052,20 @@ Val FnLowering::assign(const BinaryExpr *B) {
     return dead();
 
   if (!IvTarget) {
-    // Plain (integer) assignment: the current value is loaded first,
-    // even by '='.
+    // Integer assignment: a compound one loads the current value first,
+    // '=' does not read its target.
     uint32_t Cur = intConst(0); // an element reads as a non-int: I == 0
-    if (V) {
+    if (V && VK == Kind::Ptr) {
+      noteRead(V);
+      return fail(FailPtrAssign);
+    }
+    if (V && !Plain) {
       if (VK == Kind::Int) {
         noteRead(V);
         Cur = VR;
       } else if (VK == Kind::Any) {
         Cur = tmp(Kind::Int);
         emit(Op::AnyIntCur, 0, Cur, VR);
-      } else if (VK == Kind::Ptr) {
-        noteRead(V);
-        return fail(FailPtrAssign);
       } else {
         noteRead(V);
       }
@@ -1164,8 +1152,7 @@ Val FnLowering::assign(const BinaryExpr *B) {
 }
 
 Val FnLowering::conditional(const ConditionalExpr *C, uint32_t Hint) {
-  if (isTBoolExpr(C->Cond))
-    return fail(FailTbConditional);
+  // A TBool condition is rejected by checkLoweringSubset.
   Label Else = label(), End = label();
   condJump(expr(C->Cond), Where::Conditional, Else, /*IfTrue=*/false);
   bool IsFloat = isFloatOrVec(C->type());
@@ -1388,9 +1375,10 @@ void FnLowering::returnStmt(const ReturnStmt *R) {
     return;
   }
   Val V = expr(R->Value);
-  if (isFloatOrVec(R->Value->type()))
+  const bool Iv = returnsInterval(Fn, R);
+  if (Iv)
     V = asIv(V);
-  if (V.K == Kind::None && isFloatOrVec(R->Value->type()))
+  if (V.K == Kind::None && Iv)
     return;
   if (F.Ret == RetMode::Iv) {
     emit(Op::RetIv, 0, V.Reg);
@@ -1406,7 +1394,7 @@ void FnLowering::returnStmt(const ReturnStmt *R) {
 }
 
 void FnLowering::ifStmt(const IfStmt *S) {
-  if (!isTBoolExpr(S->Cond)) {
+  if (!isTBool(S->Cond)) {
     Label Else = label(), End = label();
     condBranch(S->Cond, Where::If, Else, /*IfTrue=*/false);
     SlotSet DA0 = DA;

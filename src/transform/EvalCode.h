@@ -178,8 +178,6 @@ enum FixedFailure : uint32_t {
   FailBitOperands,    ///< invalid bitwise/shift operands
   FailCmpOperands,    ///< invalid comparison operands
   FailBitNot,         ///< invalid operand to '~'
-  FailSimdCompare,    ///< comparison of SIMD vectors
-  FailTbConditional,  ///< interval-dependent '?:'
   FailIntrinsic,      ///< SIMD intrinsic call
   FailAllocation,     ///< allocation call
   FailPtrCast,        ///< pointer cast

@@ -614,7 +614,7 @@ private:
       return Call;
     ProfileSite Site;
     Site.Op = Op;
-    Site.Func = CurFuncName;
+    Site.Func = CurFunc->Name;
     if (Origin) {
       Site.Line = Origin->loc().Line;
       Site.Col = Origin->loc().Col;
@@ -672,7 +672,7 @@ private:
 
   // Profiling state (per translation unit).
   ProfileSiteTable SiteTable;
-  std::string CurFuncName;
+  const FunctionDecl *CurFunc = nullptr;
 
   // --tier state (set per function while emitting the wrapper).
   TierMode TMode = TierMode::Off;
@@ -734,10 +734,6 @@ std::string Transformer::materializeConst(const TR &V) const {
 std::string Transformer::asInterval(const TR &V) {
   if (V.C == Cat::Interval)
     return V.Code;
-  if (V.C == Cat::TBool) {
-    Diags.error(SourceLoc(), "cannot use a comparison result as a value");
-    return V.Code;
-  }
   if (V.OrigTy && V.OrigTy->isInteger())
     return "ia_cst_" + sfx() + "((double)(" + V.Code + "))";
   return "ia_cst_" + sfx() + "(" + V.Code + ")";
@@ -802,10 +798,6 @@ TR Transformer::transformExpr(const Expr *E) {
     TR Cond = transformExpr(C->Cond);
     TR Then = transformExpr(C->Then);
     TR Else = transformExpr(C->Else);
-    if (Cond.C == Cat::TBool)
-      Diags.error(E->loc(),
-                  "interval-dependent '?:' conditions are not supported; "
-                  "rewrite as an if statement");
     TR R;
     R.OrigTy = E->type();
     if (E->type() && E->type()->isFloatingOrVector()) {
@@ -877,11 +869,6 @@ TR Transformer::transformUnary(const UnaryExpr *U) {
   case UnaryExpr::Op::PreDec:
   case UnaryExpr::Op::PostInc:
   case UnaryExpr::Op::PostDec: {
-    if (Sub.C == Cat::Interval) {
-      Diags.error(U->loc(), "++/-- on floating-point values is not "
-                            "supported in the IGen C subset");
-      return Sub;
-    }
     bool Pre =
         U->O == UnaryExpr::Op::PreInc || U->O == UnaryExpr::Op::PreDec;
     bool Inc =
@@ -1217,14 +1204,6 @@ TR Transformer::transformBinary(const BinaryExpr *B) {
       Out.Code = maybeParen(L) + Op + maybeParen(R);
       return Out;
     }
-    if ((B->LHS->type() && B->LHS->type()->isSimdVector()) ||
-        (B->RHS->type() && B->RHS->type()->isSimdVector()))
-      Diags.error(B->loc(),
-                  "comparisons of SIMD vectors are not supported");
-    if (isDd() &&
-        (B->O == BinaryExpr::Op::EQ || B->O == BinaryExpr::Op::NE))
-      Diags.error(B->loc(),
-                  "==/!= on double-double intervals is not supported");
     const char *Name = B->O == BinaryExpr::Op::LT   ? "cmplt"
                        : B->O == BinaryExpr::Op::GT ? "cmpgt"
                        : B->O == BinaryExpr::Op::LE ? "cmple"
@@ -1289,8 +1268,7 @@ std::string Transformer::lvalueOf(const Expr *E) {
   default:
     break;
   }
-  Diags.error(Stripped->loc(), "unsupported assignment target");
-  return transformExpr(Stripped).Code;
+  return transformExpr(Stripped).Code; // rejected by checkLoweringSubset
 }
 
 TR Transformer::transformCast(const CastExpr *C) {
@@ -1407,13 +1385,6 @@ TR Transformer::transformCall(const CallExpr *C) {
     // interval's outer hull (sound, though no tighter than f64i).
     const MathOp Op = C->Math;
     std::string Base = mathOpName(Op);
-    if (C->Args.size() < mathOpArity(Op)) {
-      Diags.error(C->loc(), "wrong number of arguments to '" + C->Callee +
-                                "'");
-      R.C = Cat::Interval;
-      R.Code = "ia_cst_" + sfx() + "(0.0)";
-      return R;
-    }
     TR Arg = transformExpr(C->Args[0]);
     R.C = Cat::Interval;
     if (mathOpArity(Op) == 2) {
@@ -1875,9 +1846,11 @@ void Transformer::emitStmt(const Stmt *S) {
       popTemps(Temps);
       return;
     }
-    // Wrap per the function's (promoted) return type.
-    bool WantInterval = R->Value->type() &&
-                        R->Value->type()->isFloatingOrVector();
+    // Wrap per the function's (promoted) return type: an int value
+    // returned from a floating function converts as asInterval does.
+    bool WantInterval =
+        CurFunc->RetTy->isFloatingOrVector() ||
+        (R->Value->type() && R->Value->type()->isFloatingOrVector());
     line("return " + (WantInterval ? asInterval(V) : V.Code) + ";");
     popTemps(Temps);
     return;
@@ -1917,7 +1890,7 @@ void Transformer::emitFunction(FunctionDecl *F) {
 
 void Transformer::emitFunctionImpl(FunctionDecl *F,
                                    const std::string &EmitName) {
-  CurFuncName = F->Name;
+  CurFunc = F;
   if (Opts.EnableReductions && F->Lowering)
     for (const Diagnostic &W : F->Lowering->ReductionWarnings)
       Diags.report(W.Severity, W.Loc, W.Message);
@@ -2032,7 +2005,6 @@ std::string Transformer::run() {
   SiteTable = ProfileSiteTable();
   SiteTable.Module = Opts.ModuleName.empty() ? "igen" : Opts.ModuleName;
   SiteTable.SourceFile = Opts.SourceName;
-  annotateLowering(Ctx);
   for (const TopLevelItem &Item : Ctx.TU.Items) {
     if (!Item.Function) {
       line(Item.Directive);
@@ -2110,6 +2082,8 @@ std::string igen::transformToIntervals(ASTContext &Ctx,
                                        DiagnosticsEngine &Diags,
                                        const TransformOptions &Options,
                                        ProfileSiteTable *SitesOut) {
+  if (!checkLoweringSubset(Ctx, Options, Diags))
+    return "";
   Transformer T(Ctx, Diags, Options);
   std::string Out = T.run();
   if (SitesOut)

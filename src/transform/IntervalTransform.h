@@ -123,7 +123,9 @@ struct TransformOptions {
 };
 
 /// Transforms the (parsed and type-checked) translation unit into interval
-/// C code. Reports unsupported constructs through \p Diags. When
+/// C code. Runs checkLoweringSubset() (transform/LoweringRules.h) first
+/// and returns "" when it rejects the program; the emission itself only
+/// reports warnings through \p Diags. When
 /// \p SitesOut is non-null and Options.Profile or Options.Tier is set,
 /// receives the compile-time site/region table matching the IDs embedded
 /// in the generated code.

@@ -10,6 +10,7 @@
 #include "interval/DecimalFp.h"
 #include "interval/Rounding.h"
 #include "interval/Ulp.h"
+#include "transform/IntervalTransform.h"
 
 #include <algorithm>
 #include <cmath>
@@ -106,6 +107,34 @@ bool collectJoinTargets(const Stmt *S, std::vector<VarDecl *> &Targets) {
   }
 }
 
+bool isFloatOrVec(const Type *T) { return T && T->isFloatingOrVector(); }
+
+/// Value category of \p E, given its operands' (Section IV-B): floating
+/// comparisons and logical operators over them are TBool, floating
+/// values (and tolerance parameters' interval shadows) are intervals.
+ValueCat categoryOf(const Expr *E) {
+  if (const auto *P = dynCast<ParenExpr>(E))
+    return P->Sub->Cat;
+  if (const auto *B = dynCast<BinaryExpr>(E)) {
+    if (B->isComparison())
+      return isFloatOrVec(B->LHS->type()) || isFloatOrVec(B->RHS->type())
+                 ? ValueCat::TBool
+                 : ValueCat::Plain;
+    if (B->O == BinaryExpr::Op::LAnd || B->O == BinaryExpr::Op::LOr)
+      return B->LHS->Cat == ValueCat::TBool || B->RHS->Cat == ValueCat::TBool
+                 ? ValueCat::TBool
+                 : ValueCat::Plain;
+  }
+  if (const auto *U = dynCast<UnaryExpr>(E))
+    if (U->O == UnaryExpr::Op::LogicalNot)
+      return U->Sub->Cat == ValueCat::TBool ? ValueCat::TBool
+                                            : ValueCat::Plain;
+  const auto *Ref = dynCast<DeclRefExpr>(E);
+  const bool Shadow = Ref && Ref->Decl && Ref->Decl->HasTolerance;
+  return isFloatOrVec(E->type()) || Shadow ? ValueCat::Interval
+                                           : ValueCat::Plain;
+}
+
 /// Attach the per-node facts at and below \p E / \p S / \p F.
 void annotate(ASTContext &Ctx, Expr *E) {
   if (auto *L = dynCast<FloatLiteralExpr>(E))
@@ -114,6 +143,7 @@ void annotate(ASTContext &Ctx, Expr *E) {
   if (C && classifyCallee(C->Callee) == CalleeKind::MathFunction)
     C->Math = canonicalMathOp(C->Callee);
   forEachSubexpr(E, [&](Expr *Sub) { annotate(Ctx, Sub); });
+  E->Cat = categoryOf(E);
 }
 
 void annotate(ASTContext &Ctx, Stmt *S) {
@@ -141,6 +171,192 @@ void annotate(ASTContext &Ctx, FunctionDecl *F) {
   F->Lowering = L;
 }
 
+/// The IGen C subset's rejections (Section IV), reported in the order
+/// the C emitter reaches them, each use once.
+class SubsetChecker {
+public:
+  SubsetChecker(DiagnosticsEngine &Diags, bool Dd) : Diags(Diags), Dd(Dd) {}
+
+  void function(const FunctionDecl &F) {
+    Fn = &F;
+    stmt(F.Body);
+  }
+
+private:
+  DiagnosticsEngine &Diags;
+  const bool Dd;
+  const FunctionDecl *Fn = nullptr;
+
+  /// \p E is used where an interval is required.
+  void value(const Expr *E) {
+    if (E->Cat == ValueCat::TBool)
+      Diags.error(SourceLoc(), "cannot use a comparison result as a value");
+  }
+
+  void expr(const Expr *E) {
+    switch (E->kind()) {
+    case Expr::Kind::Unary: {
+      const auto *U = cast<UnaryExpr>(E);
+      expr(U->Sub);
+      const bool IncDec =
+          U->O == UnaryExpr::Op::PreInc || U->O == UnaryExpr::Op::PreDec ||
+          U->O == UnaryExpr::Op::PostInc || U->O == UnaryExpr::Op::PostDec;
+      if (IncDec && U->Sub->Cat == ValueCat::Interval)
+        Diags.error(U->loc(), "++/-- on floating-point values is not "
+                              "supported in the IGen C subset");
+      return;
+    }
+    case Expr::Kind::Binary:
+      return binary(cast<BinaryExpr>(E));
+    case Expr::Kind::Conditional: {
+      const auto *C = cast<ConditionalExpr>(E);
+      expr(C->Cond);
+      expr(C->Then);
+      expr(C->Else);
+      if (C->Cond->Cat == ValueCat::TBool)
+        Diags.error(E->loc(),
+                    "interval-dependent '?:' conditions are not supported; "
+                    "rewrite as an if statement");
+      if (isFloatOrVec(E->type())) {
+        value(C->Then);
+        value(C->Else);
+      }
+      return;
+    }
+    case Expr::Kind::Call: {
+      const auto *C = cast<CallExpr>(E);
+      if (C->Math == MathOp::None) {
+        for (const Expr *A : C->Args) {
+          expr(A);
+          if (isFloatOrVec(A->type()))
+            value(A);
+        }
+        return;
+      }
+      // Arguments past the operation's arity are never translated.
+      const unsigned N = mathOpArity(C->Math);
+      if (C->Args.size() < N) {
+        Diags.error(C->loc(), "wrong number of arguments to '" + C->Callee +
+                                  "'");
+        return;
+      }
+      for (unsigned I = 0; I < N; ++I)
+        expr(C->Args[I]);
+      for (unsigned I = 0; I < N; ++I)
+        value(C->Args[I]);
+      return;
+    }
+    default:
+      forEachSubexpr(E, [&](Expr *Sub) { expr(Sub); });
+      return;
+    }
+  }
+
+  void binary(const BinaryExpr *B) {
+    if (B->isAssignment()) {
+      lvalue(B->LHS);
+      expr(B->RHS);
+      if (isFloatOrVec(B->LHS->type()))
+        value(B->RHS);
+      else if (B->O != BinaryExpr::Op::Assign &&
+               B->RHS->Cat == ValueCat::Interval)
+        Diags.error(B->loc(), "compound assignment of a floating-point value "
+                              "to an integer is not supported in the IGen "
+                              "C subset");
+      else if (B->O != BinaryExpr::Op::Assign)
+        value(B->RHS);
+      return;
+    }
+    expr(B->LHS);
+    expr(B->RHS);
+    const bool FloatOp =
+        isFloatOrVec(B->LHS->type()) || isFloatOrVec(B->RHS->type());
+    if (!FloatOp)
+      return;
+    switch (B->O) {
+    case BinaryExpr::Op::LT:
+    case BinaryExpr::Op::GT:
+    case BinaryExpr::Op::LE:
+    case BinaryExpr::Op::GE:
+    case BinaryExpr::Op::EQ:
+    case BinaryExpr::Op::NE:
+      if ((B->LHS->type() && B->LHS->type()->isSimdVector()) ||
+          (B->RHS->type() && B->RHS->type()->isSimdVector()))
+        Diags.error(B->loc(),
+                    "comparisons of SIMD vectors are not supported");
+      if (Dd && (B->O == BinaryExpr::Op::EQ || B->O == BinaryExpr::Op::NE))
+        Diags.error(B->loc(),
+                    "==/!= on double-double intervals is not supported");
+      [[fallthrough]];
+    case BinaryExpr::Op::Add:
+    case BinaryExpr::Op::Sub:
+    case BinaryExpr::Op::Mul:
+    case BinaryExpr::Op::Div:
+      value(B->LHS);
+      value(B->RHS);
+      return;
+    default:
+      return;
+    }
+  }
+
+  /// Assignment targets: variables, array elements and dereferenced
+  /// variables (index expressions innermost last, as emitted).
+  void lvalue(const Expr *E) {
+    const Expr *S = ignoreParens(E);
+    if (dynCast<DeclRefExpr>(S))
+      return;
+    if (const auto *I = dynCast<IndexExpr>(S)) {
+      expr(I->Idx);
+      return lvalue(I->Base);
+    }
+    const auto *U = dynCast<UnaryExpr>(S);
+    if (U && U->O == UnaryExpr::Op::Deref)
+      return lvalue(U->Sub);
+    Diags.error(S->loc(), "unsupported assignment target");
+    expr(S);
+  }
+
+  void decl(const VarDecl *D) {
+    if (!D->Init)
+      return;
+    expr(D->Init);
+    if (isFloatOrVec(D->Ty))
+      value(D->Init);
+  }
+
+  void stmt(const Stmt *S) {
+    if (!S)
+      return;
+    switch (S->kind()) {
+    case Stmt::Kind::DeclStmt:
+      for (const VarDecl *D : cast<DeclStmt>(S)->Decls)
+        decl(D);
+      return;
+    case Stmt::Kind::Do: {
+      const auto *D = cast<DoStmt>(S);
+      stmt(D->Body);
+      expr(D->Cond);
+      return;
+    }
+    case Stmt::Kind::Return: {
+      const auto *R = cast<ReturnStmt>(S);
+      if (!R->Value)
+        return;
+      expr(R->Value);
+      if (isFloatOrVec(Fn->RetTy) || isFloatOrVec(R->Value->type()))
+        value(R->Value);
+      return;
+    }
+    default:
+      forEachChild(
+          S, [&](Expr *E) { expr(E); },
+          [&](Stmt *C) { stmt(C); });
+      return;
+    }
+  }
+};
+
 } // namespace
 
 const char *igen::mathOpName(MathOp Op) {
@@ -155,4 +371,23 @@ void igen::annotateLowering(ASTContext &Ctx) {
   for (TopLevelItem &Item : Ctx.TU.Items)
     if (Item.Function && Item.Function->Body)
       annotate(Ctx, Item.Function);
+}
+
+bool igen::checkLoweringSubset(ASTContext &Ctx, const TransformOptions &Opts,
+                               DiagnosticsEngine &Diags) {
+  annotateLowering(Ctx);
+  unsigned char &Done =
+      Ctx.SubsetChecked[Opts.Prec == TransformOptions::Precision::DoubleDouble];
+  if (Done)
+    return Done == 1;
+  DiagnosticsEngine Errors;
+  SubsetChecker Check(Errors,
+                      Opts.Prec == TransformOptions::Precision::DoubleDouble);
+  for (const TopLevelItem &Item : Ctx.TU.Items)
+    if (Item.Function && Item.Function->Body)
+      Check.function(*Item.Function);
+  for (const Diagnostic &D : Errors.diagnostics())
+    Diags.report(D.Severity, D.Loc, D.Message);
+  Done = Errors.hasErrors() ? 2 : 1;
+  return Done == 1;
 }

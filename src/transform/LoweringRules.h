@@ -17,13 +17,17 @@
 ///    and hull them, and over which variables (IV-B);
 ///  * the canonical interval operation behind each libm callee;
 ///  * reduction sites (Section VI-B), found whatever the options because
-///    a serve request can enable reductions on a cached program.
+///    a serve request can enable reductions on a cached program;
+///  * each expression's value category: plain, interval or TBool (IV-B).
 ///
 /// annotateLowering() computes all of it once per program, after Sema,
-/// and stores it on the AST (FloatLiteralExpr::Enc, VarDecl::TolUp,
+/// and stores it on the AST (Expr::Cat, FloatLiteralExpr::Enc, VarDecl::TolUp,
 /// IfStmt::JoinTargets, CallExpr::Math, ForStmt::Reductions,
 /// ExprStmt::Reduction, FunctionDecl::Lowering). Sema itself resolves
 /// the remaining per-node facts: CallExpr::Fn and the frame slots.
+/// checkLoweringSubset() then rejects what neither back end translates,
+/// so both refuse a program with the same diagnostics and the back ends
+/// themselves report no errors.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -38,6 +42,8 @@
 #include <vector>
 
 namespace igen {
+
+struct TransformOptions;
 
 /// Sound enclosures of one float literal, per target precision.
 struct LiteralEnclosure {
@@ -71,6 +77,23 @@ struct FunctionLowering {
 /// results on the AST. Requires a successful Sema; runs once per
 /// context (later calls return immediately).
 void annotateLowering(ASTContext &Ctx);
+
+/// The IGen C subset (Section IV), checked before either back end runs:
+/// reports an error, in source order, for each
+///  * comparison result (TBool) used as an interval value;
+///  * interval-dependent `?:` condition;
+///  * `++`/`--` on a floating value;
+///  * comparison of SIMD vectors;
+///  * `==`/`!=` under the double-double precision;
+///  * assignment target other than a variable, an array element or a
+///    dereferenced variable;
+///  * math call with fewer arguments than its operation takes;
+///  * compound assignment of a floating value to an integer.
+/// Returns true when the program is in the subset. Runs annotateLowering()
+/// first; runs once per context and target precision (later calls
+/// return the first outcome without reporting again).
+bool checkLoweringSubset(ASTContext &Ctx, const TransformOptions &Opts,
+                         DiagnosticsEngine &Diags);
 
 } // namespace igen
 

@@ -16,44 +16,61 @@ using namespace igen;
 InMemoryProgram::InMemoryProgram() = default;
 InMemoryProgram::~InMemoryProgram() = default;
 
+namespace {
+
+/// The front half both back ends share: parse, type check, lowering
+/// facts and the subset check. Null on any error, with \p Failed set to
+/// the stage; \p Cancel is polled before each stage.
+std::unique_ptr<ASTContext> frontHalf(std::string_view Source,
+                                      const TransformOptions &Opts,
+                                      DiagnosticsEngine &Diags,
+                                      PipelineStage &Failed,
+                                      const PipelineCancelFn &Cancel) {
+  auto Stop = [&](PipelineStage S) {
+    Failed = S;
+    return nullptr;
+  };
+  auto Cancelled = [&] { return Cancel && Cancel(); };
+  Failed = PipelineStage::None;
+  if (Cancelled())
+    return Stop(PipelineStage::Cancelled);
+  auto Ast = std::make_unique<ASTContext>();
+  Parser P(Source, *Ast, Diags);
+  if (!P.parseTranslationUnit())
+    return Stop(PipelineStage::Parse);
+  if (Cancelled())
+    return Stop(PipelineStage::Cancelled);
+  Sema S(*Ast, Diags);
+  if (!S.run())
+    return Stop(PipelineStage::Sema);
+  if (Cancelled())
+    return Stop(PipelineStage::Cancelled);
+  if (!checkLoweringSubset(*Ast, Opts, Diags))
+    return Stop(PipelineStage::Transform);
+  return Ast;
+}
+
+} // namespace
+
 std::unique_ptr<InMemoryProgram>
 igen::compileToProgram(std::string_view Source, const TransformOptions &Opts,
                        DiagnosticsEngine &Diags, ProfileSiteTable *SitesOut,
                        PipelineStage *FailedStage,
                        const PipelineCancelFn &Cancel) {
-  auto Fail = [&](PipelineStage S) {
-    if (FailedStage)
-      *FailedStage = S;
-    return nullptr;
-  };
-  // Stage-boundary cancellation: abandoning the pipeline here is the
-  // same rollback as a stage error — the partial AST dies with Prog.
-  auto Cancelled = [&] { return Cancel && Cancel(); };
-  if (FailedStage)
-    *FailedStage = PipelineStage::None;
-  if (Cancelled())
-    return Fail(PipelineStage::Cancelled);
+  PipelineStage Failed;
   auto Prog = std::make_unique<InMemoryProgram>();
-  Prog->Ast = std::make_unique<ASTContext>();
   Prog->Opts = Opts;
-  Parser P(Source, *Prog->Ast, Diags);
-  if (!P.parseTranslationUnit())
-    return Fail(PipelineStage::Parse);
-  if (Cancelled())
-    return Fail(PipelineStage::Cancelled);
-  Sema S(*Prog->Ast, Diags);
-  if (!S.run())
-    return Fail(PipelineStage::Sema);
-  if (Cancelled())
-    return Fail(PipelineStage::Cancelled);
-  annotateLowering(*Prog->Ast); // facts both back ends read
-  Prog->EmittedC = transformToIntervals(*Prog->Ast, Diags, Opts, SitesOut);
-  if (Diags.hasErrors())
-    return Fail(PipelineStage::Transform);
-  if (Opts.Prec != TransformOptions::Precision::DoubleDouble)
+  Prog->Ast = frontHalf(Source, Opts, Diags, Failed, Cancel);
+  if (Prog->Ast && Opts.Prec != TransformOptions::Precision::DoubleDouble)
     Prog->Eval = evalcode::lowerForEval(*Prog->Ast); // the serve tier's code
-  if (Cancelled())
-    return Fail(PipelineStage::Cancelled);
+  if (Prog->Ast && Cancel && Cancel())
+    Failed = PipelineStage::Cancelled;
+  if (SitesOut)
+    *SitesOut = ProfileSiteTable(); // sites belong to emitted C
+  if (FailedStage)
+    *FailedStage = Failed;
+  if (Failed != PipelineStage::None)
+    return nullptr; // the partial AST dies with Prog
   return Prog;
 }
 
@@ -63,8 +80,12 @@ igen::compileToIntervals(std::string_view Source,
                          DiagnosticsEngine &Diags,
                          ProfileSiteTable *SitesOut,
                          PipelineStage *FailedStage) {
-  auto Prog = compileToProgram(Source, Opts, Diags, SitesOut, FailedStage);
-  if (!Prog)
+  PipelineStage Failed;
+  std::unique_ptr<ASTContext> Ast =
+      frontHalf(Source, Opts, Diags, Failed, /*Cancel=*/{});
+  if (FailedStage)
+    *FailedStage = Failed;
+  if (!Ast)
     return std::nullopt;
-  return std::move(Prog->EmittedC);
+  return transformToIntervals(*Ast, Diags, Opts, SitesOut);
 }

@@ -5,11 +5,13 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Convenience entry point chaining the whole pipeline of Fig. 1:
-/// parse -> type check -> lowering facts (LoweringRules.h) -> interval
-/// transformation.
-/// Used by the igen CLI driver, the build-time kernel generation, and the
-/// integration tests.
+/// Entry points chaining the pipeline of Fig. 1. One front half, parse ->
+/// type check -> lowering facts -> subset check (LoweringRules.h), feeds
+/// two back ends: compileToIntervals prints interval C (the igen CLI
+/// driver, the build-time kernel generation, the integration tests), and
+/// compileToProgram lowers to the flat eval code the serve daemon runs
+/// (transform/EvalCode.h) without printing any C. Both fail at the same
+/// stage with the same diagnostics.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -38,19 +40,21 @@ struct EvalModule;
 enum class PipelineStage { None, Parse, Sema, Transform, Cancelled };
 
 /// Cooperative cancellation for compileToProgram: polled at every stage
-/// boundary (before parse, sema, transform, and emission). Returning
+/// boundary (before parse, sema, the subset check, and after lowering).
+/// Returning
 /// true abandons the pipeline; the partial AST is discarded exactly as
 /// on a compile error, so cancellation leaves no state behind.
 using PipelineCancelFn = std::function<bool()>;
 
-/// A fully compiled program kept in memory: the type-checked AST (owned,
-/// so references into it stay valid for the lifetime of this object),
-/// the emitted interval C text and, for f64 programs, the flat register
-/// code the serve evaluator executes (transform/EvalCode.h). This is the
-/// re-entrant pipeline product the serve mode caches; the one-shot CLI
-/// only ever needs \c EmittedC.
+/// A compiled program kept in memory: the type-checked AST (owned, so
+/// references into it stay valid for the lifetime of this object) and,
+/// for f64 programs, the flat register code the serve evaluator executes
+/// (transform/EvalCode.h). This is the re-entrant pipeline product the
+/// serve mode caches.
 struct InMemoryProgram {
   std::unique_ptr<ASTContext> Ast;
+  /// Interval C text: empty for programs built by compileToProgram,
+  /// which prints none (compileToIntervals is the C back end).
   std::string EmittedC;
   TransformOptions Opts;
   std::unique_ptr<const evalcode::EvalModule> Eval;
@@ -62,10 +66,12 @@ struct InMemoryProgram {
 };
 
 /// Re-entrant pipeline entry: compiles C source text and returns the
-/// program in memory (AST + emitted interval C) instead of text only.
-/// Returns nullptr (with diagnostics in \p Diags) on any error; the
-/// partially built AST is discarded, so a failed run leaves no state
-/// behind — callers may invoke this concurrently from many threads.
+/// program in memory (AST + eval code), printing no C. Returns nullptr
+/// (with diagnostics in \p Diags) on any error; the partially built AST
+/// is discarded, so a failed run leaves no state behind — callers may
+/// invoke this concurrently from many threads. \p SitesOut, when
+/// non-null, receives an empty table: profile sites exist only in
+/// emitted C.
 std::unique_ptr<InMemoryProgram>
 compileToProgram(std::string_view Source, const TransformOptions &Opts,
                  DiagnosticsEngine &Diags,

@@ -125,7 +125,7 @@ inline const char *CornerModule =
     "double falloff(double x) { if (x > 0.0) return x; }\n"
     "double cond_mix(int k) { return k ? 1 : 2.0; }\n"
     "int cond_raw(int k, double x) { return k ? 1 : x < 2.0; }\n"
-    "double int_plus_half(int c) { c += 0.5; c -= 1; return c; }\n"
+    "double int_update(int c) { c *= 2; c -= 1; return c; }\n"
     "double ptr_arith(double *a, int n) {\n"
     "  double *p = a + 1;\n"
     "  double s = *p + *(a + n);\n"

@@ -51,6 +51,9 @@ f64i wl_henon(f64i x0, f64i y0, int n, int m);
 f64i wl_piece(f64i x, int n);
 f64i wl_elem(f64i x, int n);
 f64i wl_red(f64i x, f64i h, int n);
+// Int/double mixes (mixk.c).
+f64i mix_assign(f64i x, int n);
+f64i mix_ret(f64i x, int n);
 
 namespace {
 
@@ -90,7 +93,7 @@ std::shared_ptr<const InMemoryProgram> compileInput(const char *File,
 class ServeCompare : public ::testing::Test {
 protected:
   static std::shared_ptr<const InMemoryProgram> Kernels, Trig, Join, Rules,
-      Scalar;
+      Scalar, Mix;
 
   static void SetUpTestSuite() {
     Kernels = compileInput("kernels.c", /*Reductions=*/true, /*Join=*/false);
@@ -98,6 +101,7 @@ protected:
     Join = compileInput("joink.c", false, /*Join=*/true);
     Rules = compileInput("rulesk.c", false, /*Join=*/true);
     Scalar = compileInput("scalark.c", /*Reductions=*/true, /*Join=*/true);
+    Mix = compileInput("mixk.c", false, false);
   }
   static void TearDownTestSuite() {
     Kernels.reset();
@@ -105,6 +109,7 @@ protected:
     Join.reset();
     Rules.reset();
     Scalar.reset();
+    Mix.reset();
   }
 
   RoundUpwardScope Up;
@@ -145,6 +150,7 @@ std::shared_ptr<const InMemoryProgram> ServeCompare::Trig;
 std::shared_ptr<const InMemoryProgram> ServeCompare::Join;
 std::shared_ptr<const InMemoryProgram> ServeCompare::Rules;
 std::shared_ptr<const InMemoryProgram> ServeCompare::Scalar;
+std::shared_ptr<const InMemoryProgram> ServeCompare::Mix;
 
 TEST_F(ServeCompare, PolyBitIdentical) {
   for (int I = 0; I < 500; ++I) {
@@ -242,6 +248,23 @@ TEST_F(ServeCompare, AbsdiffAndChainAssignBitIdentical) {
     EXPECT_TRUE(bitIdentical(::chain_assign(A),
                              served(*Kernels, "chain_assign",
                                     {scalarArg(A)})));
+  }
+}
+
+TEST_F(ServeCompare, IntAssignAndIntReturnBitIdentical) {
+  // `int y; y = n * 3;` must not read y, and `return k;` in a double
+  // function returns the point interval [k, k].
+  for (int I = 0; I < 200; ++I) {
+    Interval X =
+        Interval::fromEndpoints(uniform(0.5, 1.0), uniform(1.5, 2.0));
+    if (I % 2)
+      X = Interval::fromPoint(-uniform(0.5, 2.0));
+    const int N = static_cast<int>(uniform(-50.0, 50.0));
+    EXPECT_TRUE(bitIdentical(mix_assign(X, N),
+                             served(*Mix, "mix_assign",
+                                    {scalarArg(X), intArg(N)})));
+    EXPECT_TRUE(bitIdentical(
+        mix_ret(X, N), served(*Mix, "mix_ret", {scalarArg(X), intArg(N)})));
   }
 }
 

@@ -6,6 +6,7 @@
 
 #include "server/FunctionCache.h"
 
+#include "transform/EvalCode.h"
 #include "transform/Pipeline.h"
 
 #include <gtest/gtest.h>
@@ -145,7 +146,8 @@ TEST(FunctionCache, SharedOwnershipSurvivesEviction) {
   ASSERT_NE(Held, nullptr);
   Cache.insert(2, makeProgram("double g(double x) { return x; }"));
   EXPECT_EQ(Cache.lookup(1), nullptr); // evicted...
-  EXPECT_FALSE(Held->EmittedC.empty()); // ...but the in-flight user is fine
+  EXPECT_NE(Held->Eval, nullptr); // ...but the in-flight user is fine
+  EXPECT_NE(Held->Eval->find("f"), nullptr);
   EXPECT_NE(Held->Ast, nullptr);
 }
 

@@ -127,6 +127,78 @@ TEST_F(ServerCoreTest, CompileFailureIsTypedWithDiagnosticsAndRollsBack) {
   EXPECT_EQ(H.size(), 16u);
 }
 
+/// One program per rejection of the IGen subset check, sent through
+/// handleFrame: the whole response line (code, stage and every
+/// diagnostic) is pinned.
+struct SubsetRejection {
+  const char *Name;
+  const char *Source;
+  const char *Options;
+  const char *Diagnostics; ///< the response's diagnostics array
+};
+
+const SubsetRejection Rejections[] = {
+    {"comparison_as_value",
+     "double f(double x) { double y = (x < 1.0); return y; }", "",
+     R"(["error: cannot use a comparison result as a value"])"},
+    {"interval_conditional",
+     "double f(double x) { return x < 1.0 ? x : 1.0; }", "",
+     R"(["error: interval-dependent '?:' conditions are not supported; rewrite as an if statement"])"},
+    {"float_increment", "double f(double x) { x++; return x; }", "",
+     R"(["error: ++/-- on floating-point values is not supported in the IGen C subset"])"},
+    {"simd_compare",
+     "double f(__m256d a, __m256d b) { if (a < b) return 1.0; return 0.0; }",
+     "", R"(["error: comparisons of SIMD vectors are not supported"])"},
+    {"dd_equality",
+     "double f(double x) { if (x == 1.0) return 0.0; return x; }",
+     ",\"precision\":\"dd\"",
+     R"(["error: ==/!= on double-double intervals is not supported"])"},
+    {"assignment_target",
+     "double f(double *p) { *(p + 1) = 2.0; return p[0]; }", "",
+     R"(["error: unsupported assignment target"])"},
+    {"math_arity", "double f(double x) { return fmin(x); }", "",
+     R"(["error: wrong number of arguments to 'fmin'"])"},
+    {"several_in_source_order",
+     "double f(double x, double *p) {\n  x--;\n  *(p + 1) = (x < 1.0);\n"
+     "  return sqrt() + (x > 2.0 ? x : 0.0);\n}",
+     "",
+     R"(["error: ++/-- on floating-point values is not supported in the IGen C subset","error: unsupported assignment target","error: cannot use a comparison result as a value","error: wrong number of arguments to 'sqrt'","error: interval-dependent '?:' conditions are not supported; rewrite as an if statement"])"},
+};
+
+TEST_F(ServerCoreTest, SubsetRejectionsArePinned) {
+  for (const SubsetRejection &R : Rejections) {
+    SCOPED_TRACE(R.Name);
+    std::string Line = Core.handleFrame(
+        std::string("{\"op\":\"compile\",\"source\":\"") +
+        jsonEscape(R.Source) + "\",\"options\":{\"opt_level\":0" +
+        R.Options + "}}");
+    EXPECT_EQ(Line, std::string("{\"ok\": false,\"op\": \"compile\","
+                                "\"error\": {\"code\": \"transform-error\","
+                                "\"stage\": \"transform\",\"message\": "
+                                "\"compilation failed; see diagnostics\","
+                                "\"diagnostics\": ") +
+                        R.Diagnostics + "}}");
+  }
+  CacheStats S = Core.cache().stats();
+  EXPECT_EQ(S.Insertions, 0u);
+}
+
+TEST_F(ServerCoreTest, IntCompoundOfFloatIsATransformError) {
+  // The eval tier used to run `c += 1.5` as `c += 0`; the subset check
+  // now refuses it for both back ends.
+  JsonValue V = rpc("{\"op\":\"compile\",\"source\":\"double f(int c) "
+                    "{ c += 1.5; return c; }\"}");
+  EXPECT_FALSE(V.member("ok")->boolValue());
+  const JsonValue *Err = V.member("error");
+  ASSERT_TRUE(Err);
+  EXPECT_EQ(Err->member("code")->stringValue(), "transform-error");
+  const JsonValue *Diags = Err->member("diagnostics");
+  ASSERT_TRUE(Diags && Diags->arrayValue().size() == 1u);
+  EXPECT_EQ(Diags->arrayValue()[0].stringValue(),
+            "error: compound assignment of a floating-point value to an "
+            "integer is not supported in the IGen C subset");
+}
+
 TEST_F(ServerCoreTest, ParseErrorStage) {
   JsonValue V = rpc("{\"op\":\"compile\",\"source\":\"double f( {\"}");
   EXPECT_FALSE(V.member("ok")->boolValue());

@@ -147,6 +147,38 @@ TEST(Transform, CompoundAssignments) {
   EXPECT_THAT(Out, HasSubstr("*s = ia_mul_pu_f64(ia_cst_f64(2"));
 }
 
+TEST(Transform, IntReturnedFromFloatingFunctionConverts) {
+  // C converts the int to double; the interval translation to a point.
+  std::string Out =
+      compile("double g(int n) { int y; y = n * 2; return y; }\n");
+  EXPECT_THAT(Out, HasSubstr("return ia_cst_f64((double)(y));"));
+  EXPECT_THAT(compile("double h(int n) { return n + 1; }\n"),
+              HasSubstr("return ia_cst_f64((double)(n + 1));"));
+}
+
+TEST(Transform, IntCompoundOfFloatIsRejectedByBothBackEnds) {
+  const char *Src = "double f(int c) {\n  c += 1.5;\n  return c;\n}\n";
+  DiagnosticsEngine DC, DE;
+  PipelineStage SC, SE;
+  EXPECT_FALSE(compileToIntervals(Src, {}, DC, nullptr, &SC).has_value());
+  EXPECT_EQ(compileToProgram(Src, {}, DE, nullptr, &SE), nullptr);
+  EXPECT_EQ(SC, PipelineStage::Transform);
+  EXPECT_EQ(SE, PipelineStage::Transform);
+  EXPECT_EQ(DC.render("t.c"), "t.c:2:5: error: compound assignment of a "
+                              "floating-point value to an integer is not "
+                              "supported in the IGen C subset\n");
+  EXPECT_EQ(DE.render("t.c"), DC.render("t.c"));
+  // Integer right sides stay plain C.
+  EXPECT_THAT(compile("double f(int c) { c += 2; return c; }\n"),
+              HasSubstr("c += 2;"));
+}
+
+TEST(Transform, ComparisonReturnedFromFloatingFunctionIsRejected) {
+  EXPECT_TRUE(fails("double f(double x) { return x < 1.0; }\n"));
+  // An int function returns the comparison as plain C.
+  EXPECT_FALSE(fails("int f(double x) { return x < 1.0; }\n"));
+}
+
 TEST(Transform, DdTarget) {
   TransformOptions Opts;
   Opts.Prec = TransformOptions::Precision::DoubleDouble;
