@@ -201,6 +201,9 @@ private:
     if (!Assign)
       return;
     Expr *Target = Assign->LHS;
+    // The accumulator holds an interval: integer targets stay plain.
+    if (!Target->type() || !Target->type()->isFloating())
+      return;
     const DeclRefExpr *Root = rootVariable(Target);
     if (!Root)
       return;

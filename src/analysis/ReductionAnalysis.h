@@ -13,8 +13,10 @@
 ///
 ///     target = target + t1 [+ t2 ...]      (or +=, or t + target)
 ///
-/// is a reduction when `target` names a pragma variable (optionally
-/// indexed by expressions invariant in the carrying loop). The analysis
+/// is a reduction when `target` is floating and names a pragma variable
+/// (optionally indexed by expressions invariant in the carrying loop). The
+/// accumulator is an interval sum, so an integer target stays a plain
+/// update. The analysis
 /// also computes the loop level at which the accumulator must be
 /// initialized and reduced: the outermost loop of the enclosing nest in
 /// which the target is still invariant (Polly's reduction dependence gives
@@ -42,7 +44,8 @@ struct ReductionTerm {
 struct ReductionSite {
   /// The full update statement (an ExprStmt holding the assignment).
   ExprStmt *Update = nullptr;
-  /// The accumulation target (DeclRef or IndexExpr over the pragma var).
+  /// The accumulation target (a floating DeclRef or IndexExpr over the
+  /// pragma var; integer targets are not reductions).
   Expr *Target = nullptr;
   /// The terms accumulated per iteration.
   std::vector<ReductionTerm> Terms;

@@ -6,9 +6,7 @@
 ///
 /// \file
 /// Prints the AST back to compilable C. Used by frontend tests (parse /
-/// print round trips) and as the statement-structure backbone of the
-/// interval transformer, which overrides expression and declaration
-/// emission.
+/// print round trips). The interval transformer has its own emitter.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -23,8 +21,6 @@ namespace igen {
 
 class CPrinter {
 public:
-  virtual ~CPrinter() = default;
-
   /// Prints the whole translation unit.
   std::string print(const TranslationUnit &TU);
 
@@ -35,15 +31,13 @@ public:
   void printStmt(const Stmt *S);
 
   /// Returns the printed expression.
-  virtual std::string exprToString(const Expr *E);
+  std::string exprToString(const Expr *E);
 
-protected:
-  /// Emission hooks the transformer overrides.
-  virtual std::string declToString(const VarDecl *D);
-  virtual std::string functionHeader(const FunctionDecl *F);
+private:
+  std::string declToString(const VarDecl *D);
+  std::string functionHeader(const FunctionDecl *F);
   /// Emits a raw line at the current indentation.
   void line(const std::string &Text);
-  void append(const std::string &Text) { Out += Text; }
   std::string indentStr() const { return std::string(Indent * 2, ' '); }
 
   std::string typeAndName(const Type *Ty, const std::string &Name) const;

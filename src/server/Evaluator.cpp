@@ -53,22 +53,12 @@ struct PtrReg {
   long long Off;
 };
 
-/// A value whose category is only known at run time.
-struct AnyReg {
-  Kind K;
-  TBool B;
-  long long I;
-  Interval V;
-  PtrReg P;
-};
-
 /// One activation's register files.
 struct Frame {
   Interval *V;
   long long *I;
   TBool *T;
   PtrReg *P;
-  AnyReg *Y;
   SumAccumulatorF64 *Acc;
 };
 
@@ -263,17 +253,15 @@ private:
     size_t IvB = round16(Fn.NumIv * sizeof(Interval));
     size_t AccB = round16(Fn.NumAcc * sizeof(SumAccumulatorF64));
     size_t PB = round16(Fn.NumPtr * sizeof(PtrReg));
-    size_t YB = round16(Fn.NumAny * sizeof(AnyReg));
     size_t IB = round16(Fn.NumInt * sizeof(long long));
     auto *Base = static_cast<std::byte *>(
-        Stack.alloc(IvB + AccB + PB + YB + IB + Fn.NumTb));
+        Stack.alloc(IvB + AccB + PB + IB + Fn.NumTb));
     Frame F;
     F.V = reinterpret_cast<Interval *>(Base);
     F.Acc = reinterpret_cast<SumAccumulatorF64 *>(Base + IvB);
     F.P = reinterpret_cast<PtrReg *>(Base + IvB + AccB);
-    F.Y = reinterpret_cast<AnyReg *>(Base + IvB + AccB + PB);
-    F.I = reinterpret_cast<long long *>(Base + IvB + AccB + PB + YB);
-    F.T = reinterpret_cast<TBool *>(Base + IvB + AccB + PB + YB + IB);
+    F.I = reinterpret_cast<long long *>(Base + IvB + AccB + PB);
+    F.T = reinterpret_cast<TBool *>(Base + IvB + AccB + PB + IB);
     if (!Fn.IvInit.empty())
       std::memcpy(F.V, Fn.IvInit.data(), Fn.IvInit.size() * sizeof(Interval));
     if (!Fn.IntInit.empty())
@@ -281,62 +269,17 @@ private:
                   Fn.IntInit.size() * sizeof(long long));
     if (Fn.ZeroPtr)
       std::memset(F.P, 0, PB);
-    if (Fn.NumAny)
-      std::memset(static_cast<void *>(F.Y), 0, YB);
     return F;
   }
 
-  /// Binds one argument to a parameter, checking it as the callee's
-  /// prologue does.
-  static void bind(const ParamSlot &P, const AnyReg &A, Frame &F) {
-    AnyReg V = A;
-    auto Takes = [&](Kind K, const char *What) {
-      if (A.K != K)
-        fail("bad-argument", "parameter '" + P.Name + "' takes " + What);
-    };
-    switch (P.T) {
-    case ParamSlot::Takes::Tolerance:
-      // The emitted body only reads the shadow _a = ia_set_tol(a, TolUp),
-      // so the parameter holds the widened interval directly.
-      if (A.K != Kind::Iv || !A.V.isPoint())
-        fail("bad-argument",
-             "tolerance parameter '" + P.Name + "' takes a point value");
-      V.V = iSetTol(A.V.Hi, P.TolUp);
-      break;
-    case ParamSlot::Takes::Iv:
-      Takes(Kind::Iv, "an interval");
-      break;
-    case ParamSlot::Takes::Int:
-      Takes(Kind::Int, "an integer");
-      break;
-    case ParamSlot::Takes::Ptr:
-      Takes(Kind::Ptr, "an array");
-      break;
-    case ParamSlot::Takes::Vector:
-      fail("unsupported", "SIMD vector parameters are not supported");
-    case ParamSlot::Takes::Other:
-      fail("unsupported", "unsupported parameter type for '" + P.Name + "'");
-    }
-    switch (P.Store) {
-    case Kind::Iv: F.V[P.Reg] = V.V; break;
-    case Kind::Int: F.I[P.Reg] = V.I; break;
-    case Kind::Ptr: F.P[P.Reg] = V.P; break;
-    default: F.Y[P.Reg] = V; break;
-    }
-  }
-
-  static AnyReg load(const Frame &F, Kind K, uint32_t R) {
-    AnyReg A{};
-    A.K = K;
-    switch (K) {
-    case Kind::Iv: A.V = F.V[R]; break;
-    case Kind::Int: A.I = F.I[R]; break;
-    case Kind::Tb: A.B = F.T[R]; break;
-    case Kind::Ptr: A.P = F.P[R]; break;
-    case Kind::Any: return F.Y[R];
-    case Kind::None: break;
-    }
-    return A;
+  /// Widens a tolerance argument as the emitted prologue does: the body
+  /// only reads the shadow _a = ia_set_tol(a, TolUp), so the parameter
+  /// holds the widened interval directly.
+  static void widen(const ParamSlot &P, Interval &A) {
+    Failure Why;
+    if (P.rejects(Kind::Iv, A.isPoint(), Why))
+      fail(Why.Code, Why.Message);
+    A = iSetTol(A.Hi, P.TolUp);
   }
 
   [[noreturn]] static void outOfBounds(long long At, long long Size) {
@@ -378,23 +321,12 @@ private:
     return 0;
   }
 
-  /// The interval a tagged value denotes (the translation's asInterval).
-  Interval anyToIv(const AnyReg &A, uint8_t Mode) {
-    if (A.K == Kind::Iv)
-      return Mode == 2 ? Interval32::fromInterval(A.V).widen() : A.V;
-    if (A.K == Kind::Int)
-      return Interval::fromPoint(static_cast<double>(A.I));
-    if (Mode != 0)
-      failWith(FailCastOperand);
-    failWith(A.K == Kind::Tb ? FailTbAsValue : FailNotScalar);
-  }
-
-  /// Runs \p Fn on a bound frame until it returns; the returned value
-  /// lands in \p Out.
-  void exec(const FunctionCode *Fn, Frame R, AnyReg &Out);
+  /// Runs \p Fn on a bound frame until it returns; an interval or int
+  /// result lands in \p Out.
+  void exec(const FunctionCode *Fn, Frame R, EvalResult &Out);
 };
 
-void Machine::exec(const FunctionCode *Fn, Frame R, AnyReg &Out) {
+void Machine::exec(const FunctionCode *Fn, Frame R, EvalResult &Out) {
   const Insn *Code = Fn->Code.data();
   const Insn *Pc = Code;
   for (;;) {
@@ -456,41 +388,51 @@ void Machine::exec(const FunctionCode *Fn, Frame R, AnyReg &Out) {
       enterCall();
       FrameStack::Mark Mk = Stack.mark();
       Frame NF = newFrame(Callee);
-      for (size_t A = 0; A < Callee.Params.size(); ++A)
-        bind(Callee.Params[A], load(R, S.Args[A].first, S.Args[A].second),
-             NF);
+      // Lowering failed every call whose arguments do not bind by
+      // category; only a tolerance's point check is left.
+      for (size_t A = 0; A < Callee.Params.size(); ++A) {
+        const ParamSlot &P = Callee.Params[A];
+        uint32_t Arg = S.Args[A];
+        switch (P.kind()) {
+        case Kind::Iv: NF.V[P.Reg] = R.V[Arg]; break;
+        case Kind::Int: NF.I[P.Reg] = R.I[Arg]; break;
+        case Kind::Ptr: NF.P[P.Reg] = R.P[Arg]; break;
+        default: break;
+        }
+        if (P.T == ParamSlot::Takes::Tolerance)
+          widen(P, NF.V[P.Reg]);
+      }
       Calls.push_back({Fn, Pc, R, S.Dst, Mk});
       Fn = &Callee;
       Code = Pc = Callee.Code.data();
       R = NF;
       break;
     }
-    case Op::RetIv:
-    case Op::RetAny:
+    case Op::Ret:
     case Op::RetNone: {
-      AnyReg V{};
-      if (I.O == Op::RetIv) {
-        V.K = Kind::Iv;
-        V.V = R.V[I.A];
-      } else if (I.O == Op::RetAny) {
-        V = R.Y[I.A];
-      }
       --Depth;
+      Kind K = I.O == Op::Ret ? Fn->Ret : Kind::None;
       if (Calls.empty()) {
-        Out = V;
+        Out.HasReturn = K == Kind::Iv || K == Kind::Int;
+        Out.ReturnIsInt = K == Kind::Int;
+        if (K == Kind::Iv)
+          Out.Return = R.V[I.A];
+        else if (K == Kind::Int)
+          Out.ReturnInt = R.I[I.A];
         return;
       }
       const Activation &A = Calls.back();
-      RetMode Mode = Fn->Ret;
+      switch (K) {
+      case Kind::Iv: A.Regs.V[A.Dst] = R.V[I.A]; break;
+      case Kind::Int: A.Regs.I[A.Dst] = R.I[I.A]; break;
+      case Kind::Ptr: A.Regs.P[A.Dst] = R.P[I.A]; break;
+      default: break;
+      }
       Stack.release(A.Mark);
       Fn = A.Fn;
       Code = Fn->Code.data();
       Pc = A.Resume;
       R = A.Regs;
-      if (Mode == RetMode::Iv)
-        R.V[A.Dst] = V.V;
-      else if (Mode == RetMode::Any)
-        R.Y[A.Dst] = V;
       Calls.pop_back();
       break;
     }
@@ -616,131 +558,6 @@ void Machine::exec(const FunctionCode *Fn, Frame R, AnyReg &Out) {
       R.Acc[I.A].accumulate(I.X ? iNeg(R.V[I.B]) : R.V[I.B]);
       break;
     case Op::AccReduce: R.V[I.A] = R.Acc[I.B].reduce(); break;
-
-    // --- tagged registers ---
-    case Op::Box: {
-      AnyReg A = load(R, static_cast<Kind>(I.X), I.B);
-      R.Y[I.A] = A;
-      break;
-    }
-    case Op::AnyMov: R.Y[I.A] = R.Y[I.B]; break;
-    case Op::AnyToIv: R.V[I.A] = anyToIv(R.Y[I.B], I.X); break;
-    case Op::AnyToTb: {
-      const AnyReg &A = R.Y[I.B];
-      if (A.K == Kind::Tb)
-        R.T[I.A] = A.B;
-      else if (A.K == Kind::Int)
-        R.T[I.A] = tboolFromBool(A.I != 0);
-      else
-        failWith(FailBadCondition);
-      break;
-    }
-    case Op::AnyCond: {
-      const AnyReg &A = R.Y[I.B];
-      if (A.K == Kind::Int) {
-        R.I[I.A] = A.I != 0;
-      } else if (A.K == Kind::Tb) {
-        if (A.B == TBool::Unknown)
-          unknownAt(I.C);
-        R.I[I.A] = A.B == TBool::True;
-      } else {
-        failWith(FailCondValue);
-      }
-      break;
-    }
-    case Op::AnyExpect: {
-      const AnyReg &A = R.Y[I.B];
-      Kind K = static_cast<Kind>(I.X);
-      if (A.K != K)
-        failWith(I.C);
-      if (K == Kind::Iv)
-        R.V[I.A] = A.V;
-      else if (K == Kind::Int)
-        R.I[I.A] = A.I;
-      else
-        R.P[I.A] = A.P;
-      break;
-    }
-    case Op::AnyIntCur: {
-      const AnyReg &A = R.Y[I.B];
-      if (A.K == Kind::None)
-        failWith(FailUninitRead);
-      if (A.K == Kind::Ptr)
-        failWith(FailPtrAssign);
-      R.I[I.A] = A.K == Kind::Int ? A.I : 0;
-      break;
-    }
-    case Op::AnyIntRhs: {
-      const AnyReg &A = R.Y[I.B];
-      if (A.K == Kind::Ptr)
-        failWith(FailPtrAssign);
-      if (A.K != Kind::Int && !I.X)
-        failWith(FailIntAssign);
-      R.I[I.A] = A.K == Kind::Int ? A.I : 0;
-      break;
-    }
-    case Op::AnyLoadIv:
-      if (R.Y[I.B].K == Kind::None)
-        failWith(FailUninitRead);
-      R.V[I.A] = anyToIv(R.Y[I.B], 0);
-      break;
-    case Op::AnyNeg: {
-      AnyReg A = R.Y[I.B];
-      if (A.K == Kind::Iv)
-        A.V = iNeg(A.V);
-      else if (A.K == Kind::Int)
-        A.I = wrap(0 - static_cast<unsigned long long>(A.I));
-      else
-        failWith(FailNegOperand);
-      R.Y[I.A] = A;
-      break;
-    }
-    case Op::AnyNot: {
-      AnyReg A = R.Y[I.B];
-      if (A.K == Kind::Tb)
-        A.B = tboolNot(A.B);
-      else if (A.K == Kind::Int)
-        A.I = A.I == 0;
-      else
-        failWith(FailNotOperand);
-      R.Y[I.A] = A;
-      break;
-    }
-    case Op::AnyArith: {
-      const AnyReg &L = R.Y[I.B], &Rt = R.Y[I.C];
-      IntOp Op = static_cast<IntOp>(I.X);
-      AnyReg Res{};
-      if (L.K == Kind::Ptr && Rt.K == Kind::Int &&
-          (Op == IntOp::Add || Op == IntOp::Sub)) {
-        Res.K = Kind::Ptr;
-        Res.P = L.P;
-        Res.P.Off = intOp(Op, L.P.Off, Rt.I);
-      } else if (L.K == Kind::Int && Rt.K == Kind::Int) {
-        Res.K = Kind::Int;
-        Res.I = intOp(Op, L.I, Rt.I);
-      } else {
-        failWith(FailIntArith);
-      }
-      R.Y[I.A] = Res;
-      break;
-    }
-    case Op::AnyIncDec: {
-      AnyReg &A = R.Y[I.B];
-      if (A.K != Kind::Int)
-        failWith(FailIncDec);
-      long long Old = A.I;
-      A.I = wrap(static_cast<unsigned long long>(Old) +
-                 ((I.X & 2) ? 1ull : ~0ull));
-      R.I[I.A] = (I.X & 1) ? A.I : Old;
-      break;
-    }
-    case Op::AnyAddrIv:
-      if (R.Y[I.B].K != Kind::Iv)
-        failWith(FailAddrOf);
-      R.P[I.A] = PtrReg{&R.Y[I.B].V, 1, 0};
-      break;
-    case Op::AnySwapV: std::swap(R.Y[I.A].V, R.V[I.B]); break;
-    case Op::AnyHullV: R.Y[I.A].V = iHull(R.Y[I.A].V, R.V[I.B]); break;
     }
   }
 }
@@ -772,48 +589,38 @@ EvalResult Machine::run(const std::string &Function,
     // already repaired the environment; only the outermost frame honors
     // the verdict (callees run under the now-sound environment, like AOT
     // code whose igen_fenv_check repaired on the way in).
-    AnyReg Ret{};
-    if (Opts.PoisonedEntry && Fn->ReturnsFloating) {
+    if (Opts.PoisonedEntry && Fn->Ret == Kind::Iv) {
       --Depth;
-      Ret.K = Kind::Iv;
-      Ret.V = Interval::entire();
+      R.HasReturn = true;
+      R.Return = Interval::entire();
     } else {
       Frame F = newFrame(*Fn);
       size_t Array = 0;
       for (size_t I = 0; I < Args.size(); ++I) {
         const EvalArg &A = Args[I];
-        AnyReg V{};
-        switch (A.K) {
-        case EvalArg::Kind::Scalar:
-          V.K = Kind::Iv;
-          V.V = A.Scalar;
-          break;
-        case EvalArg::Kind::Int:
-          V.K = Kind::Int;
-          V.I = A.IntValue;
-          break;
-        case EvalArg::Kind::Tolerance:
-          V.K = Kind::Iv;
-          V.V = Interval::fromPoint(A.Point);
-          break;
-        case EvalArg::Kind::Array: {
+        const ParamSlot &P = Fn->Params[I];
+        Interval Iv = A.K == EvalArg::Kind::Tolerance
+                          ? Interval::fromPoint(A.Point)
+                          : A.Scalar;
+        Kind K = A.K == EvalArg::Kind::Int     ? Kind::Int
+                 : A.K == EvalArg::Kind::Array ? Kind::Ptr
+                                               : Kind::Iv;
+        Failure Why;
+        if (P.rejects(K, Iv.isPoint(), Why))
+          fail(Why.Code, Why.Message);
+        if (K == Kind::Int) {
+          F.I[P.Reg] = A.IntValue;
+        } else if (K == Kind::Ptr) {
           std::vector<Interval> &Out = R.ArrayOutputs[Array++];
-          V.K = Kind::Ptr;
-          V.P = PtrReg{Out.data(), static_cast<long long>(Out.size()), 0};
-          break;
+          F.P[P.Reg] =
+              PtrReg{Out.data(), static_cast<long long>(Out.size()), 0};
+        } else {
+          F.V[P.Reg] = Iv;
+          if (P.T == ParamSlot::Takes::Tolerance)
+            widen(P, F.V[P.Reg]);
         }
-        }
-        bind(Fn->Params[I], V, F);
       }
-      exec(Fn, F, Ret);
-    }
-    if (Ret.K == Kind::Iv) {
-      R.HasReturn = true;
-      R.Return = Ret.V;
-    } else if (Ret.K == Kind::Int) {
-      R.HasReturn = true;
-      R.ReturnIsInt = true;
-      R.ReturnInt = Ret.I;
+      exec(Fn, F, R);
     }
     R.Ok = true;
   } catch (const EvalAbort &A) {

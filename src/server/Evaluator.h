@@ -16,7 +16,11 @@
 /// operand categories, constant enclosures (Section IV-B), upward-widened
 /// tolerance shadows (IV-C), join targets and reduction sites (VI-B) are
 /// fixed there, and this executor is a single dispatch loop over typed
-/// register files. Because both paths compose the same pure interval
+/// register files. The code is statically typed: every register's file
+/// (interval, int, TBool, pointer) is its value's Sema type, as in the
+/// emitted C, so no instruction inspects a category at run time. The
+/// only per-variable run-time state beyond values is an int init flag on
+/// the slots some read may reach before they are assigned. Because both paths compose the same pure interval
 /// operations in the same order under FE_UPWARD, eval results are
 /// bit-identical to AOT-compiled `-O0 --target=ss` output
 /// (ExecServeCompareTest pins this).
@@ -31,8 +35,10 @@
 /// precision, SIMD vectors, external calls, allocation) lowers to a Fail
 /// instruction where evaluation would reach it, so it produces a *typed*
 /// error — never an abort — and only when executed: an unsupported
-/// construct on a branch that is not taken costs nothing. A hostile or
-/// unlucky request cannot take the daemon down.
+/// construct on a branch that is not taken costs nothing. A read of an
+/// unassigned variable is one too: a jump over a Fail that tests the
+/// slot's init flag. A hostile or unlucky request cannot take the daemon
+/// down.
 ///
 /// The -O1 rewrites (sign-specialized mul/div, FMA fusion, CSE/hoist,
 /// _fast poly kernels) are value-changing-but-still-sound, so the tier

@@ -298,24 +298,6 @@ int log2Bucket(uint64_t Us) {
   return B;
 }
 
-/// Recovers the typed error code from a rendered error response. Every
-/// error line is produced by this file, so the spelling below is
-/// canonical; string values in responses have their quotes escaped, so
-/// the needle can only match the real error object.
-std::string outcomeOf(const std::string &Resp, bool IsError) {
-  if (!IsError)
-    return "ok";
-  static constexpr std::string_view Needle = "\"error\": {\"code\": \"";
-  size_t P = Resp.find(Needle);
-  if (P == std::string::npos)
-    return "error";
-  P += Needle.size();
-  size_t E = Resp.find('"', P);
-  if (E == std::string::npos)
-    return "error";
-  return Resp.substr(P, E - P);
-}
-
 uint64_t usBetween(std::chrono::steady_clock::time_point A,
                    std::chrono::steady_clock::time_point B) {
   return (uint64_t)std::chrono::duration_cast<std::chrono::microseconds>(B -
@@ -459,21 +441,23 @@ ServerCore::handleFrame(std::string_view Frame,
     Resp = dispatch(Frame, Arrival, Start, E, IsError, Info);
   } catch (const std::bad_alloc &) {
     IsError = true;
-    Resp = errorResponse(RequestId(), "", "internal-error",
+    Info.Outcome = "internal-error";
+    Resp = errorResponse(RequestId(), "", Info.Outcome,
                          "out of memory handling request");
   } catch (const std::exception &Ex) {
     IsError = true;
-    Resp = errorResponse(RequestId(), "", "internal-error", Ex.what());
+    Info.Outcome = "internal-error";
+    Resp = errorResponse(RequestId(), "", Info.Outcome, Ex.what());
   } catch (...) {
     IsError = true;
-    Resp = errorResponse(RequestId(), "", "internal-error",
+    Info.Outcome = "internal-error";
+    Resp = errorResponse(RequestId(), "", Info.Outcome,
                          "unexpected exception handling request");
   }
   auto End = std::chrono::steady_clock::now();
   uint64_t Us = usBetween(Start, End);
   Ep[E].record(Us, IsError);
 
-  Info.Outcome = outcomeOf(Resp, IsError);
   if (Info.Outcome == "deadline-exceeded")
     DeadlineExceeded.fetch_add(1, std::memory_order_relaxed);
   else if (Info.Outcome == "shutting-down")
@@ -499,23 +483,28 @@ std::string ServerCore::dispatch(std::string_view Frame,
   EpOut = EpInvalid;
   IsError = true; // cleared on each success path
   RequestId Id;
+  // Every error response records its code as the frame's outcome.
+  auto Error = [&](std::string_view Op, std::string_view Code,
+                   std::string_view Msg) {
+    Info.Outcome = Code;
+    return errorResponse(Id, Op, Code, Msg);
+  };
 
   if (Frame.size() > maxFrameBytes())
-    return errorResponse(Id, "", "frame-too-large",
-                         "request frame exceeds IGEN_SERVE_MAX_FRAME (" +
-                             std::to_string(maxFrameBytes()) + " bytes)");
+    return Error("", "frame-too-large",
+             "request frame exceeds IGEN_SERVE_MAX_FRAME (" +
+                 std::to_string(maxFrameBytes()) + " bytes)");
 
   JsonParseResult P = parseJson(Frame);
   if (Info.Timed)
     Info.Phases.ParseUs = usBetween(Start, std::chrono::steady_clock::now());
   if (!P.Ok)
-    return errorResponse(Id, "", "bad-json",
-                         P.Error + " at byte " +
-                             std::to_string(P.ErrorOffset));
+    return Error("", "bad-json",
+             P.Error + " at byte " +
+                 std::to_string(P.ErrorOffset));
   const JsonValue &Req = P.Value;
   if (!Req.isObject())
-    return errorResponse(Id, "", "bad-request",
-                         "request must be a JSON object");
+    return Error("", "bad-request", "request must be a JSON object");
 
   if (const JsonValue *IdV = Req.member("id")) {
     if (IdV->isString()) {
@@ -527,15 +516,13 @@ std::string ServerCore::dispatch(std::string_view Frame,
       Id.Str = IdV->stringValue(); // raw spelling
       Id.Num = IdV->numberValue();
     } else {
-      return errorResponse(Id, "", "bad-request",
-                           "id must be a string or a number");
+      return Error("", "bad-request", "id must be a string or a number");
     }
   }
 
   const JsonValue *OpV = Req.member("op");
   if (!OpV || !OpV->isString())
-    return errorResponse(Id, "", "bad-request",
-                         "missing required string field 'op'");
+    return Error("", "bad-request", "missing required string field 'op'");
   const std::string &Op = OpV->stringValue();
   Info.Verb = Op;
 
@@ -554,9 +541,9 @@ std::string ServerCore::dispatch(std::string_view Frame,
             : Op == "eval"  ? EpEval
             : Op == "evict" ? EpEvict
                             : EpInvalid;
-    return errorResponse(Id, Op, "shutting-down",
-                         "daemon is draining and no longer accepts this "
-                         "op; retry against a fresh instance");
+    return Error(Op, "shutting-down",
+             "daemon is draining and no longer accepts this "
+             "op; retry against a fresh instance");
   }
 
   try {
@@ -616,6 +603,7 @@ std::string ServerCore::dispatch(std::string_view Frame,
                               : Failed == PipelineStage::Sema
                                   ? "sema"
                                   : "transform";
+          Info.Outcome = Code;
           Info.markRender();
           JsonWriter W(OneLine);
           W.beginObject();
@@ -864,8 +852,6 @@ std::string ServerCore::dispatch(std::string_view Frame,
       writeId(W, Id);
       W.field("op", std::string_view("stats"));
       W.key("stats");
-      // statsJson() renders the report object; splice it in via a
-      // nested parse-free path: build it inline instead.
       {
         CacheStats CS = Cache.stats();
         W.beginObject();
@@ -1012,10 +998,10 @@ std::string ServerCore::dispatch(std::string_view Frame,
       return W.take();
     }
 
-    return errorResponse(Id, Op, "bad-request",
-                         "unknown op '" + Op +
-                             "' (expected compile|eval|stats|evict|"
-                             "health|shutdown)");
+    return Error(Op, "bad-request",
+             "unknown op '" + Op +
+                 "' (expected compile|eval|stats|evict|"
+                 "health|shutdown)");
   } catch (const RequestError &RE) {
     const char *OpName = EpOut == EpCompile   ? "compile"
                          : EpOut == EpEval    ? "eval"
@@ -1024,14 +1010,6 @@ std::string ServerCore::dispatch(std::string_view Frame,
                          : EpOut == EpShutdown ? "shutdown"
                          : EpOut == EpHealth   ? "health"
                                                : "";
-    return errorResponse(Id, OpName, RE.Code, RE.Message);
+    return Error(OpName, RE.Code, RE.Message);
   }
-}
-
-std::string ServerCore::statsJson() const {
-  // The stats op body, minus the envelope: reuse dispatch through a
-  // const_cast-free path is not worth a refactor; render directly.
-  ServerCore *Self = const_cast<ServerCore *>(this);
-  std::string Line = Self->handleFrame("{\"op\":\"stats\"}");
-  return Line;
 }

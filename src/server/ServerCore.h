@@ -174,9 +174,6 @@ public:
     return CacheReplayed.load(std::memory_order_relaxed);
   }
 
-  /// Renders the stats report body (same JSON the stats op returns).
-  std::string statsJson() const;
-
 private:
   FunctionCache Cache;
   PersistentCacheDir Persist;

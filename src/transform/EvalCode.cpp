@@ -14,11 +14,10 @@
 // arrives with nothing pending.
 //
 // Registers: each variable owns one register for its life (Iv, Int or
-// Ptr by declared type; Any when its category is only known at run time:
-// a read before it is definitely assigned, or a non-double reduction
-// target that the accumulator turns into an interval). Constants and the
-// join-mode flags sit at the start of their files, so a call copies one
-// short image into the frame. Temporaries are recycled per statement.
+// Ptr by declared type), plus an init flag when some read of it may come
+// before it is definitely assigned. Constants and the join-mode and init
+// flags sit at the start of their files, so a call copies one short
+// image into the frame. Temporaries are recycled per statement.
 //
 //===----------------------------------------------------------------------===//
 
@@ -101,6 +100,34 @@ const FunctionCode *EvalModule::find(const std::string &Name) const {
   return nullptr;
 }
 
+Kind ParamSlot::kind() const {
+  switch (T) {
+  case Takes::Iv:
+  case Takes::Tolerance: return Kind::Iv;
+  case Takes::Int: return Kind::Int;
+  case Takes::Ptr: return Kind::Ptr;
+  default: return Kind::None;
+  }
+}
+
+bool ParamSlot::rejects(Kind K, bool Point, Failure &Why) const {
+  if (T == Takes::Vector)
+    Why = {"unsupported", "SIMD vector parameters are not supported"};
+  else if (T == Takes::Other)
+    Why = {"unsupported", "unsupported parameter type for '" + Name + "'"};
+  else if (T == Takes::Tolerance && (K != Kind::Iv || !Point))
+    Why = {"bad-argument",
+           "tolerance parameter '" + Name + "' takes a point value"};
+  else if (K != kind())
+    Why = {"bad-argument", "parameter '" + Name + "' takes " +
+                               (T == Takes::Iv    ? "an interval"
+                                : T == Takes::Int ? "an integer"
+                                                  : "an array")};
+  else
+    return false;
+  return true;
+}
+
 namespace {
 
 constexpr uint32_t NoReg = ~0u;
@@ -148,11 +175,9 @@ IntOp intOpOf(BinaryExpr::Op O) {
   }
 }
 
-/// Function-level facts every lowering needs: the defined functions (a
-/// callee's index is its position) and the return protocol of each.
+/// The defined functions of a module; a callee's index is its position.
 struct ModuleFacts {
   std::vector<const FunctionDecl *> Defined;
-  std::vector<RetMode> Modes;
 
   uint32_t index(const FunctionDecl *F) const {
     return static_cast<uint32_t>(
@@ -160,33 +185,39 @@ struct ModuleFacts {
   }
 };
 
-/// Whether `return` converts its value to an interval: in a floating
-/// function, or when the value is one (as the emitted C).
-bool returnsInterval(const FunctionDecl *F, const ReturnStmt *R) {
-  return isFloatOrVec(F->RetTy) || isFloatOrVec(R->Value->type());
+/// The register file of a value of Sema type \p T (None: no value, or
+/// one the tier has no file for).
+Kind kindOf(const Type *T) {
+  if (!T)
+    return Kind::None;
+  if (T->isFloating())
+    return Kind::Iv;
+  if (T->isInteger())
+    return Kind::Int;
+  if (T->isPointer() || T->isArray())
+    return Kind::Ptr;
+  return Kind::None;
 }
 
-void scanReturns(const FunctionDecl *F, const Stmt *S, bool &AllFloat,
-                 bool &AnyValue) {
-  if (const auto *R = dynCast<ReturnStmt>(S)) {
-    AnyValue |= R->Value != nullptr;
-    AllFloat &= R->Value && returnsInterval(F, R);
+/// What parameter \p P takes (its register is the lowering's to set).
+ParamSlot paramSlot(const VarDecl *P) {
+  ParamSlot S;
+  S.Name = P->Name;
+  if (P->HasTolerance) {
+    S.T = ParamSlot::Takes::Tolerance;
+    S.TolUp = P->TolUp;
+  } else if (P->Ty->isSimdVector()) {
+    S.T = ParamSlot::Takes::Vector;
+  } else if (P->Ty->isFloating()) {
+    S.T = ParamSlot::Takes::Iv;
+  } else if (P->Ty->isInteger()) {
+    S.T = ParamSlot::Takes::Int;
+  } else if (P->Ty->isPointer() || P->Ty->isArray()) {
+    S.T = ParamSlot::Takes::Ptr;
+  } else {
+    S.T = ParamSlot::Takes::Other;
   }
-  forEachChild(
-      S, [](Expr *) {},
-      [&](Stmt *C) { scanReturns(F, C, AllFloat, AnyValue); });
-}
-
-/// Iv when every return yields an interval and falling off the end
-/// fails; None when no return carries a value; Any otherwise.
-RetMode retModeOf(const FunctionDecl *F) {
-  bool AllFloat = true, AnyValue = false;
-  scanReturns(F, F->Body, AllFloat, AnyValue);
-  if (F->RetTy->isFloating() && AllFloat)
-    return RetMode::Iv;
-  if (!F->RetTy->isFloating() && !AnyValue)
-    return RetMode::None;
-  return RetMode::Any;
+  return S;
 }
 
 struct Val {
@@ -196,11 +227,14 @@ struct Val {
   bool IntConst = false; ///< an integer literal (value in C)
   long long C = 0;
   bool Dead = false; ///< after a failure: never reached at run time
+  /// A variable read that may precede its first store: the init flag to
+  /// test before the value is used (NoReg: none).
+  uint32_t Flag = NoReg;
 };
 
 /// Definite assignment is tracked for the first MaxTracked slots; a read
 /// of any later variable counts as possibly uninitialized, which only
-/// costs speed (the variable gets an Any register).
+/// costs speed (the variable gets an init flag).
 constexpr unsigned MaxTracked = 128;
 using SlotSet = std::bitset<MaxTracked>;
 
@@ -233,19 +267,19 @@ struct Scratch {
   std::vector<Insn> Code;
   std::vector<const VarDecl *> Vars;
   std::vector<Kind> VarKind;
-  std::vector<uint32_t> VarReg;
+  std::vector<uint32_t> VarReg, FlagReg;
   std::vector<std::pair<const IfStmt *, uint32_t>> JoinFlag;
   std::vector<int64_t> LabelAt;
   std::vector<std::pair<uint32_t, int>> Fixups;
 };
 
-/// Inputs and outputs of one lowering pass of one function.
+/// Inputs and outputs of one lowering pass of one function. A pass that
+/// finds a new slot to flag or a constant the pre-scan missed is rerun.
 struct PassState {
-  std::vector<bool> Dynamic;     ///< per slot: Any storage
-  std::vector<bool> WantDynamic; ///< per slot: read while not assigned
+  std::vector<bool> Flagged; ///< per slot: read while not assigned
   ConstPool<std::pair<uint64_t, uint64_t>> IvConsts;
   ConstPool<long long> IntConsts;
-  bool MissingConst = false;
+  bool Rerun = false;
 };
 
 class FnLowering {
@@ -253,8 +287,8 @@ public:
   FnLowering(EvalModule &M, const ModuleFacts &Facts, const FunctionDecl *Fn,
              PassState &PS, Scratch &S)
       : M(M), Facts(Facts), Fn(Fn), PS(PS), Code(S.Code), Vars(S.Vars),
-        VarKind(S.VarKind), VarReg(S.VarReg), JoinFlag(S.JoinFlag),
-        LabelAt(S.LabelAt), Fixups(S.Fixups) {}
+        VarKind(S.VarKind), VarReg(S.VarReg), FlagReg(S.FlagReg),
+        JoinFlag(S.JoinFlag), LabelAt(S.LabelAt), Fixups(S.Fixups) {}
 
   FunctionCode run();
 
@@ -269,13 +303,14 @@ private:
   std::vector<const VarDecl *> &Vars; ///< by slot
   std::vector<Kind> &VarKind;         ///< storage, by slot
   std::vector<uint32_t> &VarReg;      ///< by slot
+  std::vector<uint32_t> &FlagReg;     ///< init flag by slot, or NoReg
   SlotSet DA;                         ///< definitely assigned, by slot
   /// Join-safe interval ifs and their join-mode flag registers.
   std::vector<std::pair<const IfStmt *, uint32_t>> &JoinFlag;
 
   bool Prescanning = false;
   uint32_t Pending = 0;
-  uint32_t NIv = 0, NInt = 0, NTb = 0, NPtr = 0, NAny = 0;
+  uint32_t NIv = 0, NInt = 0, NTb = 0, NPtr = 0;
   std::vector<int64_t> &LabelAt;
   std::vector<std::pair<uint32_t, int>> &Fixups; ///< insn, operand (0 A, 2 C)
   struct Loop {
@@ -292,7 +327,6 @@ private:
     case Kind::Int: F.NumInt = std::max(F.NumInt, NInt + 1); return NInt++;
     case Kind::Tb: F.NumTb = std::max(F.NumTb, NTb + 1); return NTb++;
     case Kind::Ptr: F.NumPtr = std::max(F.NumPtr, NPtr + 1); return NPtr++;
-    case Kind::Any: F.NumAny = std::max(F.NumAny, NAny + 1); return NAny++;
     case Kind::None: break;
     }
     return 0;
@@ -305,14 +339,14 @@ private:
     if (Reg != ~0u || Prescanning)
       return Reg;
     // Missed by the pre-scan: the next pass pools it.
-    PS.MissingConst = true;
+    PS.Rerun = true;
     return tmp(Kind::Iv);
   }
   uint32_t intConst(long long V) {
     uint32_t Reg = PS.IntConsts[V];
     if (Reg != ~0u || Prescanning)
       return Reg;
-    PS.MissingConst = true;
+    PS.Rerun = true;
     return tmp(Kind::Int);
   }
   Val intVal(long long V) {
@@ -370,18 +404,36 @@ private:
 
   // --- variables ---
 
-  void noteRead(const VarDecl *V) {
-    if (!(V->Slot < MaxTracked && DA[V->Slot]) &&
-        VarKind[V->Slot] != Kind::Any)
-      PS.WantDynamic[V->Slot] = true;
-  }
+  bool isDA(unsigned S) const { return S < MaxTracked && DA[S]; }
+  /// Variable \p V as an operand: flagged when it may be unassigned.
   Val readVar(const VarDecl *V) {
-    noteRead(V);
-    Val R{VarKind[V->Slot], VarReg[V->Slot]};
+    unsigned S = V->Slot;
+    Val R{VarKind[S], VarReg[S]};
     R.Var = true;
+    if (!isDA(S)) {
+      if (!PS.Flagged[S])
+        PS.Flagged[S] = PS.Rerun = true;
+      R.Flag = FlagReg[S];
+    }
     return R;
   }
-  void assigned(const VarDecl *V) { setDA(V->Slot, true); }
+  /// \p V, after failing with \p FailIdx if it is an unassigned variable.
+  Val checked(Val V, uint32_t FailIdx) {
+    if (V.Flag == NoReg)
+      return V;
+    Label Ok = label();
+    jumpOp(Op::JmpNZ, 0, Ok, V.Flag);
+    fail(FailIdx);
+    place(Ok);
+    V.Flag = NoReg;
+    return V;
+  }
+  /// Marks \p V assigned once its register holds the stored value.
+  void assigned(const VarDecl *V) {
+    setDA(V->Slot, true);
+    if (FlagReg[V->Slot] != NoReg)
+      emit(Op::IntMov, 0, FlagReg[V->Slot], intConst(1));
+  }
   void setDA(unsigned S, bool V) {
     if (S < MaxTracked)
       DA[S] = V;
@@ -401,8 +453,11 @@ private:
     case Kind::Iv: emit(Op::IvMov, 0, R.Reg, V.Reg); break;
     case Kind::Int: emit(Op::IntMov, 0, R.Reg, V.Reg); break;
     case Kind::Ptr: emit(Op::PtrMov, 0, R.Reg, V.Reg); break;
-    case Kind::Any: emit(Op::AnyMov, 0, R.Reg, V.Reg); break;
     default: return V;
+    }
+    if (V.Flag != NoReg) {
+      R.Flag = tmp(Kind::Int);
+      emit(Op::IntMov, 0, R.Flag, V.Flag);
     }
     return R;
   }
@@ -426,18 +481,14 @@ private:
   Val asIv(Val V) {
     switch (V.K) {
     case Kind::Iv:
-      return V;
+      return checked(V, FailNotScalar);
     case Kind::Int: {
       if (V.IntConst)
         return Val{Kind::Iv,
                    ivConst(Interval::fromPoint(static_cast<double>(V.C)))};
+      V = checked(V, FailNotScalar);
       Val R{Kind::Iv, tmp(Kind::Iv)};
       emit(Op::IntToIv, 0, R.Reg, V.Reg);
-      return R;
-    }
-    case Kind::Any: {
-      Val R{Kind::Iv, tmp(Kind::Iv)};
-      emit(Op::AnyToIv, 0, R.Reg, V.Reg);
       return R;
     }
     case Kind::Tb:
@@ -451,13 +502,9 @@ private:
     case Kind::Tb:
       return V;
     case Kind::Int: {
+      V = checked(V, FailBadCondition);
       Val R{Kind::Tb, tmp(Kind::Tb)};
       emit(Op::IntToTb, 0, R.Reg, V.Reg);
-      return R;
-    }
-    case Kind::Any: {
-      Val R{Kind::Tb, tmp(Kind::Tb)};
-      emit(Op::AnyToTb, 0, R.Reg, V.Reg);
       return R;
     }
     default:
@@ -466,36 +513,18 @@ private:
   }
   /// \p V as category \p Want (Int or Ptr), else failure \p FailIdx.
   Val expect(Val V, Kind Want, uint32_t FailIdx) {
-    if (V.K == Want)
-      return V;
-    if (V.K != Kind::Any)
-      return fail(FailIdx);
-    Val R{Want, tmp(Want)};
-    emit(Op::AnyExpect, static_cast<uint8_t>(Want), R.Reg, V.Reg, FailIdx);
-    return R;
-  }
-  Val box(Val V) {
-    if (V.K == Kind::Any)
-      return V;
-    Val R{Kind::Any, tmp(Kind::Any)};
-    emit(Op::Box, static_cast<uint8_t>(V.K), R.Reg, V.Reg);
-    return R;
+    return V.K == Want ? checked(V, FailIdx) : fail(FailIdx);
   }
   /// Branches to \p L when the condition \p V converts to \p IfTrue.
   void condJump(Val V, Where W, Label L, bool IfTrue) {
     switch (V.K) {
     case Kind::Int:
+      V = checked(V, FailCondValue);
       jumpOp(IfTrue ? Op::JmpNZ : Op::JmpZ, 0, L, V.Reg);
       return;
     case Kind::Tb:
       jumpOp(Op::CondTb, IfTrue, L, V.Reg, static_cast<uint32_t>(W));
       return;
-    case Kind::Any: {
-      uint32_t T = tmp(Kind::Int);
-      emit(Op::AnyCond, 0, T, V.Reg, static_cast<uint32_t>(W));
-      jumpOp(IfTrue ? Op::JmpNZ : Op::JmpZ, 0, L, T);
-      return;
-    }
     default:
       fail(FailCondValue);
     }
@@ -504,12 +533,11 @@ private:
   Val condValue(Val V, Where W) {
     Val R{Kind::Int, tmp(Kind::Int)};
     switch (V.K) {
-    case Kind::Int: emit(Op::IntNZ, 0, R.Reg, V.Reg); return R;
+    case Kind::Int:
+      emit(Op::IntNZ, 0, R.Reg, checked(V, FailCondValue).Reg);
+      return R;
     case Kind::Tb:
       emit(Op::TbCvt, 0, R.Reg, V.Reg, static_cast<uint32_t>(W));
-      return R;
-    case Kind::Any:
-      emit(Op::AnyCond, 0, R.Reg, V.Reg, static_cast<uint32_t>(W));
       return R;
     default:
       return fail(FailCondValue);
@@ -570,8 +598,7 @@ void FnLowering::prescan(const Stmt *S) {
 
 FunctionCode FnLowering::run() {
   F.Name = Fn->Name;
-  F.ReturnsFloating = Fn->RetTy->isFloating();
-  F.Ret = Facts.Modes[Facts.index(Fn)];
+  F.Ret = kindOf(Fn->RetTy);
   unsigned N = Fn->NumSlots;
   Code.clear();
   JoinFlag.clear();
@@ -583,12 +610,13 @@ FunctionCode FnLowering::run() {
       Vars[P->Slot] = P;
 
   // Constant pool first: literal enclosures, ints and their interval
-  // conversions, then the join-mode flags (zero), then variables.
+  // conversions, then the join-mode and init flags (zero), then
+  // variables.
   for (auto &KV : PS.IvConsts.Items)
     KV.second = ~0u;
   for (auto &KV : PS.IntConsts.Items)
     KV.second = ~0u;
-  PS.MissingConst = false;
+  PS.Rerun = false;
   Prescanning = true;
   intConst(0);
   intConst(1);
@@ -607,27 +635,43 @@ FunctionCode FnLowering::run() {
     KV.second = tmp(Kind::Int);
     F.IntInit.push_back(KV.first);
   }
-  PS.MissingConst = false;
   for (auto &KV : JoinFlag) {
     KV.second = tmp(Kind::Int);
     F.IntInit.push_back(0);
   }
+  FlagReg.assign(N, NoReg);
+  for (unsigned S = 0; S < N; ++S)
+    if (PS.Flagged[S]) {
+      FlagReg[S] = tmp(Kind::Int);
+      F.IntInit.push_back(0);
+    }
   VarKind.assign(N, Kind::Iv);
   VarReg.assign(N, 0);
   for (unsigned S = 0; S < N; ++S) {
     const VarDecl *V = Vars[S];
-    Kind K = Kind::Iv;
     if (V && (V->Ty->isPointer() || V->Ty->isArray()))
-      K = Kind::Ptr;
+      VarKind[S] = Kind::Ptr;
     else if (V && !V->Ty->isFloatingOrVector())
-      K = Kind::Int;
-    if (PS.Dynamic[S] && !(V && V->Ty->isArray()))
-      K = Kind::Any;
+      VarKind[S] = Kind::Int;
     if (V && V->Ty->isArray())
       F.ZeroPtr = true;
-    VarKind[S] = K;
-    VarReg[S] = tmp(K);
   }
+  // Flagged variables first, zeroed by the image: a copy of one taken
+  // before its first store (protect) reads a defined value.
+  for (bool First : {true, false})
+    for (unsigned S = 0; S < N; ++S) {
+      if (PS.Flagged[S] != First)
+        continue;
+      VarReg[S] = tmp(VarKind[S]);
+      if (!First)
+        continue;
+      if (VarKind[S] == Kind::Iv)
+        F.IvInit.push_back(Interval::fromPoint(0.0));
+      else if (VarKind[S] == Kind::Int)
+        F.IntInit.push_back(0);
+      else
+        F.ZeroPtr = true;
+    }
   F.NumAcc = static_cast<uint32_t>(
       Fn->Lowering ? Fn->Lowering->Reductions.Sites.size() : 0);
 
@@ -635,24 +679,8 @@ FunctionCode FnLowering::run() {
   F.Params.reserve(Fn->Params.size());
   DA.reset();
   for (const VarDecl *P : Fn->Params) {
-    ParamSlot PSlot;
-    PSlot.Store = VarKind[P->Slot];
+    ParamSlot PSlot = paramSlot(P);
     PSlot.Reg = VarReg[P->Slot];
-    PSlot.Name = P->Name;
-    if (P->HasTolerance) {
-      PSlot.T = ParamSlot::Takes::Tolerance;
-      PSlot.TolUp = P->TolUp;
-    } else if (P->Ty->isSimdVector()) {
-      PSlot.T = ParamSlot::Takes::Vector;
-    } else if (P->Ty->isFloating()) {
-      PSlot.T = ParamSlot::Takes::Iv;
-    } else if (P->Ty->isInteger()) {
-      PSlot.T = ParamSlot::Takes::Int;
-    } else if (P->Ty->isPointer() || P->Ty->isArray()) {
-      PSlot.T = ParamSlot::Takes::Ptr;
-    } else {
-      PSlot.T = ParamSlot::Takes::Other;
-    }
     F.Params.push_back(std::move(PSlot));
     setDA(P->Slot, true);
   }
@@ -662,7 +690,7 @@ FunctionCode FnLowering::run() {
   for (const Stmt *S : Fn->Body->Body)
     stmt(S);
   place(FallOff);
-  if (F.ReturnsFloating)
+  if (F.Ret != Kind::None)
     fail(failure("unsupported",
                  "function '" + Fn->Name + "' returned without a value"));
   else
@@ -730,33 +758,21 @@ Val FnLowering::unary(const UnaryExpr *U, uint32_t Hint) {
   switch (U->O) {
   case UnaryExpr::Op::Neg: {
     Val Sub = expr(U->Sub, Hint);
-    if (Sub.K == Kind::Iv) {
-      Val R{Kind::Iv, ivDst(Hint)};
-      emit(Op::IvNeg, 0, R.Reg, Sub.Reg);
-      return R;
-    }
-    if (Sub.K == Kind::Int) {
-      Val R{Kind::Int, tmp(Kind::Int)};
-      emit(Op::IntNeg, 0, R.Reg, Sub.Reg);
-      return R;
-    }
-    if (Sub.K == Kind::Any) {
-      Val R{Kind::Any, tmp(Kind::Any)};
-      emit(Op::AnyNeg, 0, R.Reg, Sub.Reg);
-      return R;
-    }
-    return fail(FailNegOperand);
+    if (Sub.K != Kind::Iv && Sub.K != Kind::Int)
+      return fail(FailNegOperand);
+    Sub = checked(Sub, FailNegOperand);
+    Val R{Sub.K, Sub.K == Kind::Iv ? ivDst(Hint) : tmp(Kind::Int)};
+    emit(Sub.K == Kind::Iv ? Op::IvNeg : Op::IntNeg, 0, R.Reg, Sub.Reg);
+    return R;
   }
   case UnaryExpr::Op::Plus:
     return expr(U->Sub, Hint);
   case UnaryExpr::Op::LogicalNot: {
     Val Sub = expr(U->Sub);
-    Op O = Sub.K == Kind::Tb    ? Op::TbNot
-           : Sub.K == Kind::Int ? Op::IntLNot
-           : Sub.K == Kind::Any ? Op::AnyNot
-                                : Op::Fail;
-    if (O == Op::Fail)
+    if (Sub.K != Kind::Tb && Sub.K != Kind::Int)
       return fail(FailNotOperand);
+    Sub = checked(Sub, FailNotOperand);
+    Op O = Sub.K == Kind::Tb ? Op::TbNot : Op::IntLNot;
     Val R{Sub.K, tmp(Sub.K)};
     emit(O, 0, R.Reg, Sub.Reg);
     return R;
@@ -781,21 +797,12 @@ Val FnLowering::unary(const UnaryExpr *U, uint32_t Hint) {
     bool Inc =
         U->O == UnaryExpr::Op::PreInc || U->O == UnaryExpr::Op::PostInc;
     uint8_t X = (Pre ? 1 : 0) | (Inc ? 2 : 0);
-    if (L.Kind == LVal::K::Slot) {
-      unsigned S = L.V->Slot;
-      if (VarKind[S] == Kind::Int) {
-        noteRead(L.V);
-        Val R{Kind::Int, tmp(Kind::Int)};
-        emit(Op::IntIncDec, X, R.Reg, VarReg[S]);
-        return R;
-      }
-      if (VarKind[S] == Kind::Any) {
-        Val R{Kind::Int, tmp(Kind::Int)};
-        emit(Op::AnyIncDec, X, R.Reg, VarReg[S]);
-        return R;
-      }
-    }
-    return fail(FailIncDec);
+    if (L.Kind != LVal::K::Slot || VarKind[L.V->Slot] != Kind::Int)
+      return fail(FailIncDec);
+    Val Var = checked(readVar(L.V), FailIncDec);
+    Val R{Kind::Int, tmp(Kind::Int)};
+    emit(Op::IntIncDec, X, R.Reg, Var.Reg);
+    return R;
   }
   case UnaryExpr::Op::Deref: {
     Val Sub = expect(expr(U->Sub), Kind::Ptr,
@@ -817,17 +824,11 @@ Val FnLowering::unary(const UnaryExpr *U, uint32_t Hint) {
       emit(Op::AddrAt, 0, R.Reg, L.Ptr, L.Abs);
       return R;
     }
-    unsigned S = L.V->Slot;
-    if (VarKind[S] == Kind::Iv) {
-      noteRead(L.V);
-      emit(Op::AddrIv, 0, R.Reg, VarReg[S]);
-      return R;
-    }
-    if (VarKind[S] == Kind::Any) {
-      emit(Op::AnyAddrIv, 0, R.Reg, VarReg[S]);
-      return R;
-    }
-    return fail(FailAddrOf);
+    if (VarKind[L.V->Slot] != Kind::Iv)
+      return fail(FailAddrOf);
+    Val Var = checked(readVar(L.V), FailAddrOf);
+    emit(Op::AddrIv, 0, R.Reg, Var.Reg);
+    return R;
   }
   }
   return fail("unsupported unary operator");
@@ -951,13 +952,8 @@ Val FnLowering::binary(const BinaryExpr *B, uint32_t Hint) {
 Val FnLowering::arith(const BinaryExpr *B, Val L, Val R, uint32_t Hint) {
   bool FloatOp = isFloatOrVec(B->LHS->type()) || isFloatOrVec(B->RHS->type());
   if (!FloatOp) {
-    if (L.K == Kind::Any || R.K == Kind::Any) {
-      Val A = box(L), C = box(R);
-      Val Out{Kind::Any, tmp(Kind::Any)};
-      emit(Op::AnyArith, static_cast<uint8_t>(intOpOf(B->O)), Out.Reg, A.Reg,
-           C.Reg);
-      return Out;
-    }
+    L = checked(L, FailIntArith);
+    R = checked(R, FailIntArith);
     // Pointer arithmetic stays plain C.
     if (L.K == Kind::Ptr && R.K == Kind::Int &&
         (B->O == BinaryExpr::Op::Add || B->O == BinaryExpr::Op::Sub)) {
@@ -1028,6 +1024,8 @@ void FnLowering::condBranch(const Expr *Cond, Where W, Label L, bool IfTrue) {
     Val Lv = protect(expr(B->LHS), B->RHS);
     Val Rv = expr(B->RHS);
     if (Lv.K == Kind::Int && Rv.K == Kind::Int) {
+      Lv = checked(Lv, FailCmpOperands);
+      Rv = checked(Rv, FailCmpOperands);
       Cmp C = cmpOf(B->O);
       jumpOp(Op::JmpCmp, static_cast<uint8_t>(IfTrue ? C : negate(C)), L,
              Lv.Reg, Rv.Reg);
@@ -1045,43 +1043,27 @@ Val FnLowering::assign(const BinaryExpr *B) {
   bool IvTarget = isFloatOrVec(B->LHS->type());
   bool Plain = B->O == BinaryExpr::Op::Assign;
   const VarDecl *V = L.Kind == LVal::K::Slot ? L.V : nullptr;
-  Kind VK = V ? VarKind[V->Slot] : Kind::None;
   uint32_t VR = V ? VarReg[V->Slot] : 0;
-  Val R = expr(B->RHS, IvTarget && Plain && VK == Kind::Iv ? VR : NoReg);
+  Val R = expr(B->RHS, IvTarget && Plain && V ? VR : NoReg);
   if (L.Kind == LVal::K::Dead)
     return dead();
 
   if (!IvTarget) {
     // Integer assignment: a compound one loads the current value first,
     // '=' does not read its target.
-    uint32_t Cur = intConst(0); // an element reads as a non-int: I == 0
-    if (V && VK == Kind::Ptr) {
-      noteRead(V);
+    if (V && VarKind[V->Slot] == Kind::Ptr)
       return fail(FailPtrAssign);
-    }
-    if (V && !Plain) {
-      if (VK == Kind::Int) {
-        noteRead(V);
-        Cur = VR;
-      } else if (VK == Kind::Any) {
-        Cur = tmp(Kind::Int);
-        emit(Op::AnyIntCur, 0, Cur, VR);
-      } else {
-        noteRead(V);
-      }
-    }
+    uint32_t Cur = intConst(0); // an element reads as a non-int: I == 0
+    if (V && !Plain)
+      Cur = checked(readVar(V), FailUninitRead).Reg;
     if (R.K == Kind::Ptr)
       return fail(FailPtrAssign);
     uint32_t Rhs = intConst(0); // a non-int right side adds its I == 0
-    if (R.K == Kind::Int) {
-      Rhs = R.Reg;
-    } else if (R.K == Kind::Any) {
-      Rhs = tmp(Kind::Int);
-      emit(Op::AnyIntRhs, !Plain, Rhs, R.Reg);
-    } else if (Plain) {
+    if (R.K == Kind::Int)
+      Rhs = checked(R, FailIntAssign).Reg;
+    else if (Plain)
       return fail(FailIntAssign);
-    }
-    uint32_t Out = Plain ? Rhs : (VK == Kind::Int ? VR : tmp(Kind::Int));
+    uint32_t Out = Plain ? Rhs : V ? VR : tmp(Kind::Int);
     switch (B->O) {
     case BinaryExpr::Op::Assign: break;
     case BinaryExpr::Op::AddAssign: emit(Op::IntAdd, 0, Out, Cur, Rhs); break;
@@ -1092,62 +1074,38 @@ Val FnLowering::assign(const BinaryExpr *B) {
     }
     if (!V)
       return fail(FailIntStore);
-    if (VK == Kind::Int) {
-      if (Out != VR)
-        emit(Op::IntMov, 0, VR, Out);
-    } else if (VK == Kind::Any) {
-      emit(Op::Box, static_cast<uint8_t>(Kind::Int), VR, Out);
-    } else {
-      // An interval variable with a non-floating type cannot exist.
+    if (Out != VR)
       emit(Op::IntMov, 0, VR, Out);
+  } else {
+    Val RV = asIv(R);
+    if (RV.K == Kind::None)
+      return RV;
+    uint32_t Out = RV.Reg;
+    if (!Plain) {
+      uint32_t Cur;
+      if (V) {
+        Cur = checked(readVar(V), FailUninitRead).Reg;
+      } else {
+        Cur = tmp(Kind::Iv);
+        emit(Op::LoadAt, 0, Cur, L.Ptr, L.Abs);
+      }
+      Out = V ? VR : tmp(Kind::Iv);
+      Op O = B->O == BinaryExpr::Op::AddAssign   ? Op::IvAdd
+             : B->O == BinaryExpr::Op::SubAssign ? Op::IvSub
+             : B->O == BinaryExpr::Op::MulAssign ? Op::IvMul
+                                                 : Op::IvDiv;
+      emit(O, 0, Out, Cur, RV.Reg);
     }
-    assigned(V);
-    Val Res{Kind::Int, VK == Kind::Int ? VR : Out};
-    Res.Var = VK == Kind::Int;
-    return Res;
-  }
-
-  Val RV = asIv(R);
-  if (RV.K == Kind::None)
-    return RV;
-  uint32_t Out = RV.Reg;
-  if (!Plain) {
-    uint32_t Cur;
     if (!V) {
-      Cur = tmp(Kind::Iv);
-      emit(Op::LoadAt, 0, Cur, L.Ptr, L.Abs);
-    } else if (VK == Kind::Iv) {
-      noteRead(V);
-      Cur = VR;
-    } else if (VK == Kind::Any) {
-      Cur = tmp(Kind::Iv);
-      emit(Op::AnyLoadIv, 0, Cur, VR);
-    } else {
-      noteRead(V);
-      return fail(FailNotScalar);
+      emit(Op::StoreAt, 0, L.Ptr, L.Abs, Out);
+      return Val{Kind::Iv, Out};
     }
-    Out = VK == Kind::Iv ? VR : tmp(Kind::Iv);
-    Op O = B->O == BinaryExpr::Op::AddAssign   ? Op::IvAdd
-           : B->O == BinaryExpr::Op::SubAssign ? Op::IvSub
-           : B->O == BinaryExpr::Op::MulAssign ? Op::IvMul
-                                               : Op::IvDiv;
-    emit(O, 0, Out, Cur, RV.Reg);
-  }
-  if (!V) {
-    emit(Op::StoreAt, 0, L.Ptr, L.Abs, Out);
-    return Val{Kind::Iv, Out};
-  }
-  if (VK == Kind::Iv) {
     if (Out != VR)
       emit(Op::IvMov, 0, VR, Out);
-  } else if (VK == Kind::Any) {
-    emit(Op::Box, static_cast<uint8_t>(Kind::Iv), VR, Out);
-  } else {
-    return fail(FailNotScalar);
   }
   assigned(V);
-  Val Res{Kind::Iv, VK == Kind::Iv ? VR : Out};
-  Res.Var = VK == Kind::Iv;
+  Val Res{VarKind[V->Slot], VR};
+  Res.Var = true;
   return Res;
 }
 
@@ -1163,8 +1121,7 @@ Val FnLowering::conditional(const ConditionalExpr *C, uint32_t Hint) {
   // categories are known.
   auto Side = [&](const Expr *S, uint32_t &MoveAt) {
     Val V = expr(S, Dst);
-    if (IsFloat)
-      V = asIv(V);
+    V = IsFloat ? asIv(V) : checked(V, FailUninitRead);
     MoveAt = emit(Op::Step);
     return V;
   };
@@ -1185,28 +1142,28 @@ Val FnLowering::conditional(const ConditionalExpr *C, uint32_t Hint) {
     return dead();
   else if (T.Dead || E.Dead)
     K = T.Dead ? E.K : T.K;
-  else
-    K = T.K == E.K ? T.K : Kind::Any;
+  else if (T.K == E.K)
+    K = T.K;
+  else // two categories: a pointer side wins (`k ? p : 0`), else no value
+    K = T.K == Kind::Ptr || E.K == Kind::Ptr ? Kind::Ptr : Kind::None;
   Val R{K, 0};
   if (K == Kind::None)
     return R;
   R.Reg = IsFloat ? Dst : tmp(K);
   auto Patch = [&](uint32_t At, Val V) {
     Insn &In = Code[At];
-    if (V.Dead)
-      return; // that side failed: its move is unreachable
-    if (K == Kind::Any && V.K != Kind::Any) {
-      In.O = Op::Box;
-      In.X = static_cast<uint8_t>(V.K);
-    } else if (V.Reg != R.Reg || K == Kind::Any) {
-      In.O = K == Kind::Iv    ? Op::IvMov
-             : K == Kind::Int ? Op::IntMov
-             : K == Kind::Ptr ? Op::PtrMov
-             : K == Kind::Tb  ? Op::TbMov
-                              : Op::AnyMov;
-    } else {
-      return; // already in place
+    if (V.Dead || (V.K == K && V.Reg == R.Reg))
+      return; // that side failed, or its value is already in place
+    if (V.K != K) { // the other side of a pointer: fails where it runs
+      In.O = Op::Fail;
+      In.A = failure("unsupported", "'?:' sides of different categories "
+                                    "are not supported by eval");
+      return;
     }
+    In.O = K == Kind::Iv    ? Op::IvMov
+           : K == Kind::Int ? Op::IntMov
+           : K == Kind::Ptr ? Op::PtrMov
+                            : Op::TbMov;
     In.A = R.Reg;
     In.B = V.Reg;
   };
@@ -1257,21 +1214,28 @@ Val FnLowering::call(const CallExpr *C, uint32_t Hint) {
                         "wrong number of arguments to '" + C->Callee + "'"));
   CallSite Site;
   Site.Callee = Facts.index(Callee);
+  // Arguments the callee cannot bind fail the call once all evaluated.
+  bool Rejected = false;
+  Failure Why;
   for (size_t I = 0; I < C->Args.size(); ++I) {
     Val A = expr(C->Args[I]);
-    if (isFloatOrVec(C->Args[I]->type()))
+    if (isFloatOrVec(C->Args[I]->type())) {
       A = asIv(A);
-    if (A.K == Kind::None && isFloatOrVec(C->Args[I]->type()))
-      return A;
+      if (A.K == Kind::None)
+        return A;
+    } else {
+      A = checked(A, FailUninitRead);
+    }
     for (size_t J = I + 1; J < C->Args.size() && A.Var; ++J)
       A = protect(A, C->Args[J]);
-    Site.Args.push_back({A.K, A.Reg});
+    if (!Rejected && !A.Dead)
+      Rejected = paramSlot(Callee->Params[I]).rejects(A.K, true, Why);
+    Site.Args.push_back(A.Reg);
   }
-  RetMode Mode = Facts.Modes[Site.Callee];
-  Val R{Mode == RetMode::Iv    ? Kind::Iv
-        : Mode == RetMode::Any ? Kind::Any
-                               : Kind::None};
-  R.Reg = R.K == Kind::Iv ? ivDst(Hint) : R.K == Kind::Any ? tmp(Kind::Any) : 0;
+  if (Rejected)
+    return fail(failure(Why.Code, Why.Message));
+  Val R{kindOf(Callee->RetTy)};
+  R.Reg = R.K == Kind::Iv ? ivDst(Hint) : R.K == Kind::None ? 0 : tmp(R.K);
   Site.Dst = R.Reg;
   M.Calls.push_back(std::move(Site));
   emit(Op::Call, 0, static_cast<uint32_t>(M.Calls.size() - 1));
@@ -1288,21 +1252,14 @@ Val FnLowering::castExpr(const CastExpr *C, uint32_t Hint) {
     // ia_f32cast_f64: a double interval narrowed to float rounds outward.
     bool Narrow = C->To->kind() == Type::Kind::Float && From &&
                   From->kind() == Type::Kind::Double;
-    if (Sub.K == Kind::Iv) {
-      if (!Narrow)
-        return Sub;
-      Val R{Kind::Iv, ivDst(Hint)};
-      emit(Op::IvF32, 0, R.Reg, Sub.Reg);
-      return R;
-    }
-    if (Sub.K == Kind::Int)
-      return asIv(Sub);
-    if (Sub.K == Kind::Any) {
-      Val R{Kind::Iv, tmp(Kind::Iv)};
-      emit(Op::AnyToIv, Narrow ? 2 : 1, R.Reg, Sub.Reg);
-      return R;
-    }
-    return fail(FailCastOperand);
+    if (Sub.K != Kind::Iv && Sub.K != Kind::Int)
+      return fail(FailCastOperand);
+    Sub = asIv(checked(Sub, FailCastOperand));
+    if (!Narrow)
+      return Sub;
+    Val R{Kind::Iv, ivDst(Hint)};
+    emit(Op::IvF32, 0, R.Reg, Sub.Reg);
+    return R;
   }
   // Integer casts: emitted C applies the target width.
   Sub = expect(Sub, Kind::Int,
@@ -1320,7 +1277,6 @@ Val FnLowering::castExpr(const CastExpr *C, uint32_t Hint) {
 
 void FnLowering::decl(const VarDecl *D) {
   unsigned S = D->Slot;
-  Kind VK = VarKind[S];
   uint32_t VR = VarReg[S];
   if (D->Ty->isArray()) {
     const Type *Elem = D->Ty->element();
@@ -1340,13 +1296,13 @@ void FnLowering::decl(const VarDecl *D) {
   }
   if (!D->Init) {
     // Uninitialized until the first store.
-    if (VK == Kind::Any)
-      emit(Op::Box, static_cast<uint8_t>(Kind::None), VR, 0);
+    if (FlagReg[S] != NoReg)
+      emit(Op::IntMov, 0, FlagReg[S], intConst(0));
     setDA(S, false);
     return;
   }
   bool Floating = D->Ty->isFloatingOrVector();
-  Val V = expr(D->Init, Floating && VK == Kind::Iv ? VR : NoReg);
+  Val V = expr(D->Init, Floating ? VR : NoReg);
   if (Floating) {
     V = asIv(V);
   } else if (D->Ty->isPointer()) {
@@ -1358,9 +1314,7 @@ void FnLowering::decl(const VarDecl *D) {
   }
   if (V.K == Kind::None)
     return;
-  if (VK == Kind::Any)
-    emit(Op::Box, static_cast<uint8_t>(V.K), VR, V.Reg);
-  else if (V.Reg != VR)
+  if (V.Reg != VR)
     emit(V.K == Kind::Iv    ? Op::IvMov
          : V.K == Kind::Ptr ? Op::PtrMov
                             : Op::IntMov,
@@ -1375,22 +1329,19 @@ void FnLowering::returnStmt(const ReturnStmt *R) {
     return;
   }
   Val V = expr(R->Value);
-  const bool Iv = returnsInterval(Fn, R);
-  if (Iv)
+  if (F.Ret == Kind::None) {
+    jmp(FallOff); // a void function drops the value
+    return;
+  }
+  if (F.Ret == Kind::Iv)
     V = asIv(V);
-  if (V.K == Kind::None && Iv)
-    return;
-  if (F.Ret == RetMode::Iv) {
-    emit(Op::RetIv, 0, V.Reg);
-    return;
-  }
-  if (V.Dead)
-    return;
-  if (V.K == Kind::None) {
-    emit(Op::RetNone);
-    return;
-  }
-  emit(Op::RetAny, 0, box(V).Reg);
+  else if (V.K == F.Ret)
+    V = checked(V, FailUninitRead);
+  else if (!V.Dead)
+    V = fail(failure("unsupported", "return value of '" + Fn->Name +
+                                        "' does not match its return type"));
+  if (!V.Dead)
+    emit(Op::Ret, 0, V.Reg);
 }
 
 void FnLowering::ifStmt(const IfStmt *S) {
@@ -1457,11 +1408,8 @@ void FnLowering::ifStmt(const IfStmt *S) {
   jumpOp(Op::JmpZ, 0, End, JM);
   SlotSet DAThen = DA;
   DA = DA0;
-  for (size_t I = 0; I < Saved.size(); ++I) {
-    unsigned Slot = S->JoinTargets[I]->Slot;
-    emit(VarKind[Slot] == Kind::Any ? Op::AnySwapV : Op::IvSwap, 0,
-         VarReg[Slot], Saved[I]);
-  }
+  for (size_t I = 0; I < Saved.size(); ++I)
+    emit(Op::IvSwap, 0, VarReg[S->JoinTargets[I]->Slot], Saved[I]);
   if (S->Else) {
     place(Else);
     stmt(S->Else);
@@ -1469,28 +1417,16 @@ void FnLowering::ifStmt(const IfStmt *S) {
   }
   meet(DA, DAThen);
   emit(Op::IntMov, 0, JM, intConst(0));
-  for (size_t I = 0; I < Saved.size(); ++I) {
-    unsigned Slot = S->JoinTargets[I]->Slot;
-    emit(VarKind[Slot] == Kind::Any ? Op::AnyHullV : Op::IvHull, 0,
-         VarReg[Slot], Saved[I]);
-  }
+  for (size_t I = 0; I < Saved.size(); ++I)
+    emit(Op::IvHull, 0, VarReg[S->JoinTargets[I]->Slot], Saved[I]);
   jmp(End);
   // Saved holds the entry state, then (swapped) the Then results.
   SlotSet DAExit = DA;
   DA = DA0;
   place(Unknown);
   for (size_t I = 0; I < Saved.size(); ++I) {
-    const VarDecl *V = S->JoinTargets[I];
-    Kind VK = VarKind[V->Slot];
-    if (VK == Kind::Iv) {
-      noteRead(V);
-      emit(Op::IvMov, 0, Saved[I], VarReg[V->Slot]);
-    } else if (VK == Kind::Any) {
-      emit(Op::AnyExpect, static_cast<uint8_t>(Kind::Iv), Saved[I],
-           VarReg[V->Slot], FailJoinTarget);
-    } else {
-      fail(FailJoinTarget);
-    }
+    Val T = checked(readVar(S->JoinTargets[I]), FailJoinTarget);
+    emit(Op::IvMov, 0, Saved[I], T.Reg);
   }
   emit(Op::IntMov, 0, JM, intConst(1));
   jmp(Then);
@@ -1557,14 +1493,7 @@ void FnLowering::forStmt(const ForStmt *S) {
         emit(Op::StoreAt, 0, L.Ptr, L.Abs, T);
         continue;
       }
-      unsigned Slot = L.V->Slot;
-      if (VarKind[Slot] == Kind::Iv) {
-        emit(Op::AccReduce, 0, VarReg[Slot], Site->Index);
-      } else {
-        uint32_t T = tmp(Kind::Iv);
-        emit(Op::AccReduce, 0, T, Site->Index);
-        emit(Op::Box, static_cast<uint8_t>(Kind::Iv), VarReg[Slot], T);
-      }
+      emit(Op::AccReduce, 0, VarReg[L.V->Slot], Site->Index);
     }
     place(Skip);
     DA = DA0;
@@ -1573,7 +1502,7 @@ void FnLowering::forStmt(const ForStmt *S) {
 
 void FnLowering::stmt(const Stmt *S) {
   // Temporaries live for one statement.
-  const uint32_t MIv = NIv, MInt = NInt, MTb = NTb, MPtr = NPtr, MAny = NAny;
+  const uint32_t MIv = NIv, MInt = NInt, MTb = NTb, MPtr = NPtr;
   step();
   switch (S->kind()) {
   case Stmt::Kind::Compound:
@@ -1663,19 +1592,6 @@ void FnLowering::stmt(const Stmt *S) {
   NInt = MInt;
   NTb = MTb;
   NPtr = MPtr;
-  NAny = MAny;
-}
-
-/// Collects the slots of non-double reduction targets: the accumulator
-/// stores an interval into them, so their category changes at run time.
-void reductionRetypes(const FunctionDecl *Fn, std::vector<bool> &Dynamic) {
-  if (!Fn->Lowering)
-    return;
-  for (const ReductionSite &Site : Fn->Lowering->Reductions.Sites)
-    if (const auto *Ref = dynCast<DeclRefExpr>(ignoreParens(Site.Target)))
-      if (Ref->Decl && !Ref->Decl->Ty->isFloatingOrVector() &&
-          Ref->Decl->Slot < Dynamic.size())
-        Dynamic[Ref->Decl->Slot] = true;
 }
 
 } // namespace
@@ -1684,29 +1600,19 @@ std::unique_ptr<EvalModule> igen::evalcode::lowerForEval(const ASTContext &Ctx) 
   auto M = std::make_unique<EvalModule>();
   ModuleFacts Facts;
   for (const TopLevelItem &Item : Ctx.TU.Items)
-    if (Item.Function && Item.Function->Body) {
+    if (Item.Function && Item.Function->Body)
       Facts.Defined.push_back(Item.Function);
-      Facts.Modes.push_back(retModeOf(Item.Function));
-    }
   M->Fns.reserve(Facts.Defined.size());
   Scratch S;
   PassState PS;
   for (const FunctionDecl *Fn : Facts.Defined) {
     PS.IvConsts.Items.clear();
     PS.IntConsts.Items.clear();
-    PS.Dynamic.assign(Fn->NumSlots, false);
-    reductionRetypes(Fn, PS.Dynamic);
-    // A second pass retypes the variables the first found read before
-    // they are definitely assigned (and adds late constants).
+    PS.Flagged.assign(Fn->NumSlots, false);
     for (;;) {
       size_t Failures = M->Failures.size(), Calls = M->Calls.size();
-      PS.WantDynamic.assign(Fn->NumSlots, false);
       FunctionCode Code = FnLowering(*M, Facts, Fn, PS, S).run();
-      bool Retype = false;
-      for (unsigned S = 0; S < Fn->NumSlots; ++S)
-        if (PS.WantDynamic[S] && !PS.Dynamic[S])
-          PS.Dynamic[S] = Retype = true;
-      if (!Retype && !PS.MissingConst) {
+      if (!PS.Rerun) {
         M->Fns.push_back(std::move(Code));
         break;
       }

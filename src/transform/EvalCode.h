@@ -32,10 +32,18 @@
 ///    polls the deadline on the same cadence as a node-by-node walk.
 ///  * Failures: a construct the tier cannot run lowers to a Fail
 ///    instruction at the point where the walk would have failed, so it
-///    fails only if executed. The few values whose category is only
-///    known at run time (a variable read before it is definitely
-///    assigned, the result of a non-double user function) live in
-///    tagged Any registers.
+///    fails only if executed.
+///
+/// Every register's category is fixed here, from the Sema type of the
+/// value it holds, as the C emitter fixes the C type of every value:
+/// floating values are intervals, float comparisons TBools, integers and
+/// pointers plain. checkLoweringSubset() rejects what would mix them (a
+/// floating value or a comparison result flowing into an integer). The
+/// one property a variable's category cannot carry is whether it has
+/// been assigned: a slot read before it is definitely assigned gets an
+/// int init flag, cleared by its declaration and set by each store, and
+/// each such read tests it (JmpNZ over a Fail), raising the failure the
+/// reading context names.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -56,12 +64,12 @@ class ASTContext;
 namespace evalcode {
 
 /// Value categories of the -O0 translation (plus None: no value).
-enum class Kind : uint8_t { None, Int, Iv, Tb, Ptr, Any };
+enum class Kind : uint8_t { None, Int, Iv, Tb, Ptr };
 
 /// Comparison sub-opcodes (Insn::X of IntCmp, IvCmp, JmpCmp).
 enum class Cmp : uint8_t { LT, GT, LE, GE, EQ, NE };
 
-/// Integer sub-opcodes (Insn::X of IntBin, AnyArith).
+/// Integer sub-opcodes (Insn::X of IntBin).
 enum class IntOp : uint8_t { Add, Sub, Mul, Div, Rem, Shl, Shr, And, Or, Xor };
 
 /// Run-time option bits tested by JmpUnlessFlag.
@@ -83,8 +91,7 @@ enum class Op : uint8_t {
                  ///< under the join flag (C != 0), else fails
   JmpUnlessFlag, ///< if option bit X is clear goto A
   Call,          ///< call site A
-  RetIv,         ///< return V[A]
-  RetAny,        ///< return Y[A]
+  Ret,           ///< return register A of the function's Ret category
   RetNone,       ///< return without a value
   Fail,          ///< fail with failure A
   // Intervals.
@@ -119,22 +126,6 @@ enum class Op : uint8_t {
   ArrDecl,       ///< P[A] = zeroed local array of I[B] elements
   // Reductions.
   AccInit, AccAdd, AccReduce, ///< Acc[A] / V[B]; AccAdd X negates
-  // Tagged (Any) registers.
-  Box,           ///< Y[A] = <Kind X> register B
-  AnyMov,
-  AnyToIv,       ///< V[A] = Y[B] as interval (X: 0 value, 1 cast, 2 float cast)
-  AnyToTb,       ///< T[A] = Y[B] as condition operand
-  AnyCond,       ///< I[A] = cvt2bool(Y[B]) at where C
-  AnyExpect,     ///< register A of Kind X = Y[B], else failure C
-  AnyIntCur,     ///< I[A] = current value of int variable Y[B]
-  AnyIntRhs,     ///< I[A] = right side Y[B] of an int assignment (X: compound)
-  AnyLoadIv,     ///< V[A] = current value of double variable Y[B]
-  AnyNeg, AnyNot,
-  AnyArith,      ///< Y[A] = Y[B] <IntOp X> Y[C] (int or pointer arithmetic)
-  AnyIncDec,     ///< as IntIncDec on variable Y[B]
-  AnyAddrIv,     ///< P[A] = &Y[B].V
-  AnySwapV,      ///< swap Y[A].V, V[B]
-  AnyHullV,      ///< Y[A].V = hull(Y[A].V, V[B])
 };
 
 struct Insn {
@@ -191,44 +182,48 @@ enum FixedFailure : uint32_t {
   NumFixedFailures
 };
 
-/// How a function hands back its value: always an interval, nothing,
-/// or a tagged value whose category only the run time knows.
-enum class RetMode : uint8_t { Iv, None, Any };
-
 /// One parameter: what argument it takes and where it lands.
 struct ParamSlot {
   /// Vector and other non-scalar parameters take nothing: binding fails.
   enum class Takes : uint8_t { Iv, Int, Ptr, Tolerance, Vector, Other };
   Takes T = Takes::Iv;
-  Kind Store = Kind::Iv; ///< register file of the parameter variable
-  uint32_t Reg = 0;
+  uint32_t Reg = 0; ///< in the file of kind()
   double TolUp = 0.0;
   std::string Name; ///< for the bad-argument message
+
+  /// The register file of the parameter variable (None: it has none).
+  Kind kind() const;
+  /// Whether an argument of category \p K (an interval that is a point
+  /// when \p Point) fails to bind; the failure lands in \p Why.
+  bool rejects(Kind K, bool Point, Failure &Why) const;
 };
 
 /// One call of a user function: the callee and the caller's argument
 /// and result registers.
 struct CallSite {
   uint32_t Callee = 0;
-  std::vector<std::pair<Kind, uint32_t>> Args;
-  uint32_t Dst = 0; ///< caller register for the callee's RetMode
+  std::vector<uint32_t> Args; ///< in the file each parameter takes
+  uint32_t Dst = 0; ///< caller register of the callee's Ret category
 };
 
 /// The code of one function and its frame shape.
 struct FunctionCode {
   std::string Name;
-  bool ReturnsFloating = false;
-  RetMode Ret = RetMode::Any;
+  /// The category of the returned value, from the return type: Iv,
+  /// Int, Ptr, or None (void). Falling off the end of a function with a
+  /// value fails.
+  Kind Ret = Kind::None;
   std::vector<ParamSlot> Params;
   std::vector<Insn> Code;
   /// Initial image of the leading interval and int registers: the
   /// constant pool (literal enclosures, ints and their interval
-  /// conversions) and the zeroed join-mode flags.
+  /// conversions), then zeros: the join-mode and init flags and the
+  /// variables that have init flags.
   std::vector<Interval> IvInit;
   std::vector<long long> IntInit;
-  uint32_t NumIv = 0, NumInt = 0, NumTb = 0, NumPtr = 0, NumAny = 0,
-           NumAcc = 0;
-  bool ZeroPtr = false; ///< local arrays: pointer registers start null
+  uint32_t NumIv = 0, NumInt = 0, NumTb = 0, NumPtr = 0, NumAcc = 0;
+  /// Local arrays or flagged pointers: pointer registers start null.
+  bool ZeroPtr = false;
 };
 
 /// Every defined function of one program, in translation-unit order.

@@ -193,6 +193,16 @@ private:
       Diags.error(SourceLoc(), "cannot use a comparison result as a value");
   }
 
+  /// \p E flows into a non-floating destination, which takes neither an
+  /// interval (\p What names the flow) nor a comparison result.
+  void plain(const Expr *E, SourceLoc Loc, const char *What) {
+    if (E->Cat == ValueCat::Interval)
+      Diags.error(Loc, std::string(What) +
+                           " is not supported in the IGen C subset");
+    else
+      value(E);
+  }
+
   void expr(const Expr *E) {
     switch (E->kind()) {
     case Expr::Kind::Unary: {
@@ -217,10 +227,8 @@ private:
         Diags.error(E->loc(),
                     "interval-dependent '?:' conditions are not supported; "
                     "rewrite as an if statement");
-      if (isFloatOrVec(E->type())) {
-        value(C->Then);
-        value(C->Else);
-      }
+      value(C->Then);
+      value(C->Else);
       return;
     }
     case Expr::Kind::Call: {
@@ -258,13 +266,12 @@ private:
       expr(B->RHS);
       if (isFloatOrVec(B->LHS->type()))
         value(B->RHS);
-      else if (B->O != BinaryExpr::Op::Assign &&
-               B->RHS->Cat == ValueCat::Interval)
-        Diags.error(B->loc(), "compound assignment of a floating-point value "
-                              "to an integer is not supported in the IGen "
-                              "C subset");
-      else if (B->O != BinaryExpr::Op::Assign)
-        value(B->RHS);
+      else
+        plain(B->RHS, B->loc(),
+              B->O == BinaryExpr::Op::Assign
+                  ? "assignment of a floating-point value to an integer"
+                  : "compound assignment of a floating-point value to an "
+                    "integer");
       return;
     }
     expr(B->LHS);
@@ -323,6 +330,9 @@ private:
     expr(D->Init);
     if (isFloatOrVec(D->Ty))
       value(D->Init);
+    else if (!D->Ty->isArray()) // array initializers: outside eval anyway
+      plain(D->Init, D->Loc,
+            "initialization of an integer from a floating-point value");
   }
 
   void stmt(const Stmt *S) {
@@ -344,8 +354,12 @@ private:
       if (!R->Value)
         return;
       expr(R->Value);
-      if (isFloatOrVec(Fn->RetTy) || isFloatOrVec(R->Value->type()))
+      if (isFloatOrVec(Fn->RetTy))
         value(R->Value);
+      else
+        plain(R->Value, R->loc(),
+              "returning a floating-point value from a non-floating "
+              "function");
       return;
     }
     default:

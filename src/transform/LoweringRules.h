@@ -80,15 +80,18 @@ void annotateLowering(ASTContext &Ctx);
 
 /// The IGen C subset (Section IV), checked before either back end runs:
 /// reports an error, in source order, for each
-///  * comparison result (TBool) used as an interval value;
+///  * comparison result (TBool) used as a value: an interval operand, a
+///    `?:` side, or what an integer variable or non-floating function
+///    takes;
+///  * floating value assigned to, initializing or returned from an
+///    integer (or other non-floating) variable or function;
 ///  * interval-dependent `?:` condition;
 ///  * `++`/`--` on a floating value;
 ///  * comparison of SIMD vectors;
 ///  * `==`/`!=` under the double-double precision;
 ///  * assignment target other than a variable, an array element or a
 ///    dereferenced variable;
-///  * math call with fewer arguments than its operation takes;
-///  * compound assignment of a floating value to an integer.
+///  * math call with fewer arguments than its operation takes.
 /// Returns true when the program is in the subset. Runs annotateLowering()
 /// first; runs once per context and target precision (later calls
 /// return the first outcome without reporting again).

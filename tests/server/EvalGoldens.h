@@ -15,7 +15,8 @@
 ///
 /// Sources starting with '@' name a file under IGEN_INPUTS_DIR (the
 /// ExecServeCompare inputs; scalark.c holds the eval-scalar benchmark
-/// kernels). Arguments are space-separated tokens:
+/// kernels). A program the front half rejects pins its diagnostics as
+/// "compile error: ..." instead. Arguments are space-separated tokens:
 /// `p<x>` point, `i<lo>,<hi>` interval, `n<k>` int, `t<x>` tolerance
 /// point, `a<x>,<y>,...` array of points. Options: `join`, `red`,
 /// `poison`, `steps=<n>`, `depth=<n>`.
@@ -118,13 +119,10 @@ inline const char *CornerModule =
     "double divz(int n) { int m = 10 / n; return 1.0; }\n"
     "double remz(int n) { int m = 10 % n; return 1.0; }\n"
     "double rec(double x) { return rec(x) + 1.0; }\n"
-    "int cmp_ret(double x) { return x < 1.0; }\n"
     "double int_ret() { return 1; }\n"
-    "int dbl_from_int(double x) { return x; }\n"
     "void nothing(double *y) { y[0] = 2.0; }\n"
     "double falloff(double x) { if (x > 0.0) return x; }\n"
     "double cond_mix(int k) { return k ? 1 : 2.0; }\n"
-    "int cond_raw(int k, double x) { return k ? 1 : x < 2.0; }\n"
     "double int_update(int c) { c *= 2; c -= 1; return c; }\n"
     "double ptr_arith(double *a, int n) {\n"
     "  double *p = a + 1;\n"

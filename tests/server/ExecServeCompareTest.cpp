@@ -54,6 +54,13 @@ f64i wl_red(f64i x, f64i h, int n);
 // Int/double mixes (mixk.c).
 f64i mix_assign(f64i x, int n);
 f64i mix_ret(f64i x, int n);
+f64i mix_int_ret(int n);
+f64i mix_cond(f64i x, int k);
+f64i mix_int_update(int c);
+f64i mix_casts(f64i x, int n);
+f64i mix_logic(f64i x, int n);
+int mix_tri(int n);
+f64i mix_int_call(f64i x, int n);
 
 namespace {
 
@@ -265,6 +272,36 @@ TEST_F(ServeCompare, IntAssignAndIntReturnBitIdentical) {
                                     {scalarArg(X), intArg(N)})));
     EXPECT_TRUE(bitIdentical(
         mix_ret(X, N), served(*Mix, "mix_ret", {scalarArg(X), intArg(N)})));
+  }
+}
+
+TEST_F(ServeCompare, ValueCategoryCornersBitIdentical) {
+  // Ints returned from, mixed into and cast within double functions, an
+  // int callee in a double expression, and int/TBool logic: every value
+  // has its category at compile time on both paths.
+  for (int I = 0; I < 200; ++I) {
+    Interval X = Interval::fromPoint(uniform(-20.0, 20.0));
+    if (I % 3 == 0)
+      X = Interval::fromEndpoints(uniform(0.5, 1.0), uniform(1.5, 2.0));
+    const int N = static_cast<int>(uniform(-50.0, 50.0));
+    EXPECT_TRUE(bitIdentical(mix_int_ret(N),
+                             served(*Mix, "mix_int_ret", {intArg(N)})));
+    EXPECT_TRUE(bitIdentical(
+        mix_cond(X, N), served(*Mix, "mix_cond", {scalarArg(X), intArg(N)})));
+    EXPECT_TRUE(bitIdentical(mix_int_update(N),
+                             served(*Mix, "mix_int_update", {intArg(N)})));
+    EXPECT_TRUE(bitIdentical(mix_casts(X, N), served(*Mix, "mix_casts",
+                                                     {scalarArg(X),
+                                                      intArg(N)})));
+    EXPECT_TRUE(bitIdentical(mix_logic(X, N), served(*Mix, "mix_logic",
+                                                     {scalarArg(X),
+                                                      intArg(N)})));
+    EXPECT_TRUE(bitIdentical(mix_int_call(X, N),
+                             served(*Mix, "mix_int_call",
+                                    {scalarArg(X), intArg(N)})));
+    EvalResult T = evalFunction(*Mix, "mix_tri", {intArg(N)}, {});
+    ASSERT_TRUE(T.Ok && T.ReturnIsInt) << T.Error.Message;
+    EXPECT_EQ(T.ReturnInt, mix_tri(N));
   }
 }
 

@@ -58,10 +58,11 @@ bool containsLd(const Interval &I, long double V) {
 /// rewrite may never turn a valid enclosure into NaN or vice versa).
 void expectTightened(const Interval &O1, const Interval &O0) {
   EXPECT_EQ(O1.hasNaN(), O0.hasNaN());
-  if (!O0.hasNaN())
+  if (!O0.hasNaN()) {
     EXPECT_TRUE(O0.containsInterval(O1))
         << "O1=[" << O1.lo() << "," << O1.hi() << "] O0=[" << O0.lo()
         << "," << O0.hi() << "]";
+  }
 }
 
 class ExecOptTest : public ::testing::Test {

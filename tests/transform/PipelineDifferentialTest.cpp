@@ -61,6 +61,11 @@ std::vector<Input> inputs() {
       "double f(double *p) { *(p + 1) = 2.0; return p[0]; }",
       "double f(double x) { return fmin(x); }",
       "double f(int c) { c += 1.5; return c; }",
+      "int f(double x) { int c; c = x; return c; }",
+      "int f(double x) { int k = x; return k; }",
+      "int f(double x) { return x; }",
+      "int f(double x) { return x < 1.0; }",
+      "int f(int k, double x) { return k ? 1 : x < 2.0; }",
   };
   for (const char *S : Rejected)
     In.push_back({S, S});
@@ -124,6 +129,6 @@ TEST(PipelineDifferential, BackEndsShareTheFrontHalf) {
         }
   // Every rejection program fails in all eight configurations (==/!= only
   // under dd, four), and so does the frontend corpus' broken.c.
-  EXPECT_EQ(Failures, 8u * 8u - 4u + 8u) << "of " << Runs;
+  EXPECT_EQ(Failures, 13u * 8u - 4u + 8u) << "of " << Runs;
   EXPECT_EQ(Runs, 8u * In.size());
 }

@@ -175,8 +175,8 @@ TEST(Transform, IntCompoundOfFloatIsRejectedByBothBackEnds) {
 
 TEST(Transform, ComparisonReturnedFromFloatingFunctionIsRejected) {
   EXPECT_TRUE(fails("double f(double x) { return x < 1.0; }\n"));
-  // An int function returns the comparison as plain C.
-  EXPECT_FALSE(fails("int f(double x) { return x < 1.0; }\n"));
+  // So is an int function's: a tbool does not convert to int in C++.
+  EXPECT_TRUE(fails("int f(double x) { return x < 1.0; }\n"));
 }
 
 TEST(Transform, DdTarget) {
